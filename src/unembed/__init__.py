@@ -41,6 +41,7 @@ from .geometry import (
     nearest_neighbors,
     region_adjacency,
     similarity_matrix,
+    tie_graph,
     tie_partners,
 )
 from .lp import LinearProgram, LpSolution, coargmax_lp
@@ -128,6 +129,7 @@ __all__ = [
     "similarity_matrix",
     "softmax",
     "synthetic_embeddings",
+    "tie_graph",
     "tie_partners",
     "translate",
     "verify_equivalence",

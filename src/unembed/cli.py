@@ -10,16 +10,13 @@ fails its own expected values).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    LpIndeterminateError,
-    ModelFormatError,
-)
+from .errors import ConsistencyError, ModelFormatError
 from .examples import (
     evaluate_example,
     example,
@@ -28,12 +25,12 @@ from .examples import (
 )
 from .geometry import (
     DEFAULT_EPS,
-    coargmax_feasible,
     coargmax_oracle_2d,
     cosine,
     decision_regions,
     inflated_bounds,
     similarity_matrix,
+    tie_graph,
 )
 from .model import SoftmaxModel
 from .model_io import (
@@ -127,27 +124,44 @@ def _pair_entry(model: SoftmaxModel, rep, oracle: bool | None) -> dict:
         "label_i": model.labels[rep.i],
         "label_j": model.labels[rep.j],
         "verdict": rep.verdict,
-        "margin": None if rep.margin != rep.margin else float(rep.margin),
+        "margin": float(rep.margin) if math.isfinite(rep.margin) else None,
         "witness": None if rep.witness is None else [float(v) for v in rep.witness],
         "oracle": oracle,
     }
 
 
 def _check_pair_against_oracle(model: SoftmaxModel, rep) -> bool | None:
-    """Cross-check one LP verdict against the exact 2D oracle.  Returns the
-    oracle's answer (None when unavailable); raises on disagreement."""
+    """Cross-check one proven verdict against the exact 2D oracle: a
+    feasible or degenerate pair must tie, an infeasible one must not.
+    Returns the oracle's answer (None when unavailable); raises on
+    disagreement."""
     if model.d != 2:
         return None
-    if rep.verdict in ("degenerate", "indeterminate"):
-        return None
     oracle = coargmax_oracle_2d(model.unembeddings, rep.i, rep.j)
-    if oracle != rep.feasible:
+    if oracle != (rep.verdict != "infeasible"):
         raise ConsistencyError(
             f"pair ({rep.i}, {rep.j}): lp says {rep.verdict} "
             f"(margin {rep.margin!r}), exact 2D oracle says "
             f"{'feasible' if oracle else 'infeasible'}"
         )
     return oracle
+
+
+def _feasibility_section(model: SoftmaxModel, eps: float, indices) -> dict:
+    """Verdicts of every pair that involves a label in `indices`, each
+    pair decided once and listed as i < j, plus each label's partners."""
+    u = model.unembeddings
+    graph = tie_graph(u, eps, indices)
+    pairs = [
+        _pair_entry(model, rep, _check_pair_against_oracle(model, rep))
+        for rep in graph.values()
+    ]
+    partners = {
+        u.labels[i]: [u.labels[j] for j in range(u.k)
+                      if j != i and graph[min(i, j), max(i, j)].feasible]
+        for i in indices
+    }
+    return {"eps": eps, "pairs": pairs, "partners": partners}
 
 
 # --- subcommands -----------------------------------------------------------
@@ -210,7 +224,6 @@ def _cmd_force_cosine(args) -> int:
 
 def _cmd_transform(args) -> int:
     model = _load(args)
-    entry: dict
     if args.op == "center":
         out = model.with_unembeddings(center(model.unembeddings))
     elif args.op == "normalize":
@@ -234,43 +247,13 @@ def _cmd_ties(args) -> int:
     if args.index is None and not args.all:
         raise ValueError("pass --index I or --all")
     indices = range(u.k) if args.all else [args.index]
-    for i in indices:
-        if not 0 <= i < u.k:
-            raise IndexError(f"label index {i} out of range for k={u.k}")
-    pairs = []
-    partners: dict[str, list[str]] = {}
-    seen: set[tuple[int, int]] = set()
-    indeterminate = []
-    for i in indices:
-        mine: list[str] = []
-        for j in range(u.k):
-            if j == i:
-                continue
-            rep = coargmax_feasible(u, i, j, eps=args.eps)
-            if rep.feasible:
-                mine.append(u.labels[j])
-            if rep.verdict == "indeterminate":
-                indeterminate.append((i, j, rep.lp_status))
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                oracle = _check_pair_against_oracle(model, rep)
-                pairs.append(_pair_entry(model, rep, oracle))
-        partners[u.labels[i]] = mine
-        print(f"{u.labels[i]}: ties possible with "
+    feasibility = _feasibility_section(model, args.eps, indices)
+    for label, mine in feasibility["partners"].items():
+        print(f"{label}: ties possible with "
               f"{', '.join(mine) if mine else '(none)'}")
-    if indeterminate:
-        raise LpIndeterminateError(
-            f"{len(indeterminate)} pair(s) indeterminate: {indeterminate}"
-        )
     if args.output:
         report = new_report(
-            input=_input_section(args, model),
-            feasibility={
-                "eps": args.eps,
-                "pairs": pairs,
-                "partners": partners,
-            },
+            input=_input_section(args, model), feasibility=feasibility
         )
         save_report(report, args.output)
         print(f"wrote {args.output}")
@@ -299,7 +282,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_verify_equivalence(args) -> int:
-    model_a = load_model(args.input, args.format)
+    model_a = _load(args)
     model_b = load_model(args.other)
     points = model_a.embeddings
     if points.n == 0:
@@ -385,26 +368,9 @@ def _cmd_reproduce(args) -> int:
         })
 
     if any(ev.check in ("tie_partners", "pair_feasible") for ev in ex.expected):
-        pairs = []
-        seen: set[tuple[int, int]] = set()
-        partners: dict[str, list[str]] = {}
-        for i in range(model.k):
-            mine = []
-            for j in range(model.k):
-                if i == j:
-                    continue
-                rep = coargmax_feasible(model.unembeddings, i, j)
-                if rep.feasible:
-                    mine.append(model.labels[j])
-                key = (min(i, j), max(i, j))
-                if key not in seen:
-                    seen.add(key)
-                    oracle = _check_pair_against_oracle(model, rep)
-                    pairs.append(_pair_entry(model, rep, oracle))
-            partners[model.labels[i]] = mine
-        report["feasibility"] = {
-            "eps": DEFAULT_EPS, "pairs": pairs, "partners": partners,
-        }
+        report["feasibility"] = _feasibility_section(
+            model, DEFAULT_EPS, range(model.k)
+        )
 
     save_report(report, path("report.json"))
 
@@ -481,9 +447,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "ties",
         help="which labels can tie for the highest probability",
-        description="Decide tie feasibility via the margin LP; in 2D every "
-        "verdict is cross-checked against the exact oracle (disagreement "
-        "exits 4).",
+        description="Decide tie feasibility with a (d+1)-row phase-1 LP "
+        "whose verdicts carry checked certificates; in 2D every verdict is "
+        "cross-checked against the exact oracle (disagreement exits 4).",
     )
     _add_input_flags(p)
     p.add_argument("--index", type=int, default=None, help="one label index")
@@ -546,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConsistencyError, LpIndeterminateError) as exc:
+    except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (ValueError, KeyError, IndexError) as exc:

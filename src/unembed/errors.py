@@ -14,8 +14,8 @@ class ModelFormatError(ValueError):
 
 
 class LpIndeterminateError(RuntimeError):
-    """The LP solver could not reach a verdict (iteration cap or failed
-    witness validation); never silently mapped to feasible/infeasible."""
+    """An LP gave no usable answer.  Tie decisions no longer raise it:
+    every pair of a finite model gets a proven verdict."""
 
 
 class ConsistencyError(RuntimeError):

@@ -5,23 +5,27 @@ some embedding point?  Formally, is there an f with
 
     f . g_i = f . g_j > f . g_k   for every other label k.
 
-Two independent deciders are provided.  `coargmax_feasible` answers through
-a linear program (any dimension); `coargmax_oracle_2d` answers exactly in
-two dimensions: there f is confined to the line orthogonal to g_i - g_j, so
-it suffices to test the two unit directions of that line.  The LP restricts
-f to the unit box; the feasible set is a cone (closed under positive
-scaling), so the restriction changes no verdict, and it bounds the LP.
+Two independent deciders are provided.  `coargmax_feasible` answers in any
+dimension through the (d+1)-row phase-1 LP of `coargmax_lp`, and proves
+the certificate that phase 1 ends with (a tie witness, or labels whose mix
+lies on the line through g_i and g_j) in floats with an error bound, in
+Fractions, or by an exact rational phase 1.  `tie_graph` decides every
+unordered pair once.  `coargmax_oracle_2d` answers exactly in two
+dimensions: there f is confined to the line orthogonal to g_i - g_j, so
+it suffices to test the two directions of that line, each sign by an
+exact orientation predicate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LpIndeterminateError, ZeroVectorError
-from .lp import PIVOT_TOL, coargmax_lp, solve
+from .errors import DimensionMismatchError, ZeroVectorError
+from .lp import coargmax_lp, pow2_exponent, solve
 from .model import SoftmaxModel, UnembeddingSet, as_label_vector
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "nearest_neighbors",
     "coargmax_feasible",
     "coargmax_oracle_2d",
+    "tie_graph",
     "tie_partners",
     "decision_regions",
     "region_adjacency",
@@ -148,13 +153,18 @@ def nearest_neighbors(
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Verdict on whether labels i and j can tie for the highest score.
+    """Proven verdict on whether labels i and j can tie for the highest score.
 
     verdict is one of:
-      feasible      margin > eps; witness is a point achieving the tie
-      infeasible    margin is zero up to solver noise (the f=0 optimum)
-      degenerate    margin in (noise, eps]: too small to trust, reported as-is
-      indeterminate the solver gave no usable answer; never mapped to a verdict
+      feasible      proven tie whose witness has unit-box margin > eps
+      degenerate    proven tie whose witness has unit-box margin <= eps
+      infeasible    proven: a convex combination of the other labels lies on
+                    the line through g_i and g_j, so the pair cannot tie
+
+    margin is the witness's unit-box margin on the model divided by
+    2**pow2_exponent(g) (0.0 when infeasible, inf when there is no third
+    label).  lp_status is the float phase 1's status; proof names the step
+    that proved the certificate: "float", "fraction" or "exact".
     """
 
     i: int
@@ -164,20 +174,215 @@ class FeasibilityReport:
     eps: float
     witness: np.ndarray | None = None
     lp_status: str = "optimal"
+    proof: str = ""
 
     @property
     def feasible(self) -> bool:
         return self.verdict == "feasible"
 
 
-def _witness_consistent(g, i, j, f, eps) -> bool:
+# --- certificates ----------------------------------------------------------
+#
+# Every bound below follows Higham, "Accuracy and Stability of Numerical
+# Algorithms" (2002), section 3.1: a float dot product of length n is off
+# by at most gamma(n) |x|.|y|.  Each filter demands that the quantity it
+# guards beat twice its error budget (and multiplies that quantity by
+# 1 - 4u), which covers the handful of roundings made while computing the
+# budget itself; _TINY covers underflow in any product.
+
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1000
+_CCW_ERRBOUND = (3.0 + 16.0 * _U) * _U  # Shewchuk (1997), ccwerrboundA
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+def _fractions(values) -> list:
+    return [Fraction(float(v)) for v in values]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _others(k: int, i: int, j: int) -> np.ndarray:
+    keep = np.ones(k, dtype=bool)
+    keep[[i, j]] = False
+    return np.flatnonzero(keep)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, scaled first so no square underflows."""
+    top = np.abs(v).max(axis=-1, keepdims=True)
+    safe = np.where(top > 0.0, top, 1.0)
+    return top[..., 0] * np.sqrt(((v / safe) ** 2).sum(axis=-1))
+
+
+def _tie_filter(g, i, j, f) -> bool:
+    """True only if the exact projection f* of f onto (g_j - g_i)-perp has
+    f*.(g_i - g_k) > 0 for every other label k.
+
+    With s = g f in floats and e_k = gamma(d) (|g| |f|)_k, the exact margin
+    f*.(g_i - g_k) = f.(g_i - g_k) - (f.u)(u.(g_i - g_k))/(u.u), u = g_j - g_i,
+    is at least (s_i - s_k) - e_i - e_k - (|s_j - s_i| + e_i + e_j) rho_k
+    with rho_k = |g_i - g_k| / |u| (Cauchy-Schwarz)."""
+    rest = _others(g.shape[0], i, j)
     scores = g @ f
-    if abs(scores[i] - scores[j]) > 1e-9 * (1.0 + abs(scores[i])):
+    err = _gamma(g.shape[1]) * (np.abs(g) @ np.abs(f)) + _TINY
+    budget = err[i] + err[rest]
+    norm_u = float(_row_norms(g[j] - g[i]))
+    if norm_u > 0.0:
+        off_line = abs(scores[j] - scores[i]) + err[i] + err[j]
+        budget = budget + off_line * (_row_norms(g[i] - g[rest]) / norm_u)
+    gap = (scores[i] - scores[rest]) * (1.0 - 4.0 * _U)
+    return bool(np.all(gap > 2.0 * budget))
+
+
+def _tie_fraction(g, i, j, f) -> bool:
+    """The same claim as _tie_filter, decided in exact rationals."""
+    rows = [_fractions(row) for row in g]
+    fr = _fractions(f)
+    u = [a - b for a, b in zip(rows[j], rows[i])]
+    uu = _dot(u, u)
+    if uu:  # uu * (projection of f): a positive multiple, no division
+        fu = _dot(fr, u)
+        fr = [uu * a - fu * b for a, b in zip(fr, u)]
+    top = _dot(fr, rows[i])
+    return all(_dot(fr, rows[m]) < top for m in _others(len(rows), i, j))
+
+
+def _support(g, i, j, x):
+    """The labels whose weight mu is positive in the float phase-1
+    solution x, whether s is nonzero, and their values (s last)."""
+    mu, s = x[:-1], x[-1]
+    keep = np.flatnonzero(mu > 0.0)
+    values = mu[keep] if s == 0.0 else np.append(mu[keep], s)
+    return _others(g.shape[0], i, j)[keep], s != 0.0, values
+
+
+def _no_tie_filter(g, i, j, x) -> bool:
+    """True only if the square system on the support of x has an exact
+    solution whose weights are all positive (a verified solve: with
+    R ~ A^-1 and |I - R A| summing to beta < 1 by rows, the exact solution
+    is within |R| |b - A x| / (1 - beta) of x)."""
+    labels, with_s, z = _support(g, i, j, x)
+    n = g.shape[1] + 1
+    if z.size != n:
         return False
-    others = np.delete(scores, [i, j])
-    if others.size and (scores[i] - others.max()) <= eps / 2.0:
-        return False
-    return True
+    a = np.vstack([g[labels].T, np.ones(labels.size)])
+    err_a = np.zeros_like(a)
+    if with_s:  # the column g_i - g_j is rounded once
+        a = np.column_stack([a, np.append(g[i] - g[j], 0.0)])
+        err_a = np.column_stack([err_a, _U * np.abs(a[:, -1])])
+    b = np.append(g[i], 1.0)
+    with np.errstate(all="ignore"):
+        try:
+            r = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return False
+        abs_r, abs_a = np.abs(r), np.abs(a)
+        g_n = _gamma(n + 1)
+        c = (np.abs(np.eye(n) - r @ a) + g_n * (abs_r @ abs_a)
+             + abs_r @ err_a + _TINY)
+        beta = 2.0 * float(c.sum(axis=1).max())
+        if not beta < 1.0:
+            return False
+        resid = (np.abs(b - a @ z) + g_n * (np.abs(b) + abs_a @ np.abs(z))
+                 + err_a @ np.abs(z) + _TINY)
+        delta = 2.0 * float((abs_r @ resid).max()) / (1.0 - beta)
+        weights = z[: labels.size]
+        return bool(np.all(weights * (1.0 - 4.0 * _U) > delta))
+
+
+def _no_tie_fraction(g, i, j, x) -> bool:
+    """The same claim as _no_tie_filter, decided by an exact phase 1 over
+    the support of x alone; it also covers rank-deficient systems."""
+    return _exact_phase1(g, i, j, _support(g, i, j, x)[0]) is None
+
+
+def _exact_phase1(g, i, j, labels=None):
+    """Phase 1 of the coargmax_lp system in exact rationals with Bland's
+    rule (which terminates), with weights on `labels` (default: every
+    other label).  Returns a tie witness f (list of Fractions) when the
+    system is infeasible, else None: the pair cannot tie."""
+    rows = [_fractions(row) for row in g]
+    d = len(rows[0])
+    u = [a - b for a, b in zip(rows[j], rows[i])]
+    if labels is None:
+        labels = _others(len(rows), i, j)
+    cols = [rows[m] + [Fraction(1)] for m in labels]
+    cols += [[-v for v in u] + [Fraction(0)], u + [Fraction(0)]]  # s = s+ - s-
+    rhs = rows[i] + [Fraction(1)]
+    m, n = d + 1, len(cols)
+    sign = [-1 if v < 0 else 1 for v in rhs]
+    tab = [[sign[r] * col[r] for col in cols]
+           + [Fraction(int(a == r)) for a in range(m)] + [sign[r] * rhs[r]]
+           for r in range(m)]
+    basis = list(range(n, n + m))
+    cost = [-sum(tab[r][c] for r in range(m)) for c in range(n)]
+    cost += [Fraction(0)] * m + [-sum(tab[r][-1] for r in range(m))]
+    while True:
+        col = next((c for c in range(n + m) if cost[c] < 0), None)
+        if col is None:
+            break
+        row = min((r for r in range(m) if tab[r][col] > 0),
+                  key=lambda r: (tab[r][-1] / tab[r][col], basis[r]))
+        pivot = tab[row][col]
+        tab[row] = [v / pivot for v in tab[row]]
+        for r, line in enumerate(tab + [cost]):
+            if r != row and line[col] != 0:
+                factor = line[col]
+                line[:] = [a - factor * b for a, b in zip(line, tab[row])]
+        basis[row] = col
+    if cost[-1] == 0:  # zero infeasibility: weights on the line exist
+        return None
+    # y = 1 - (reduced cost of each artificial), signs restored
+    return [sign[r] * (1 - cost[n + r]) for r in range(d)]
+
+
+def _witness(g, i, j, f):
+    """The float witness reported for a proven tie: f projected onto
+    (g_j - g_i)-perp and scaled into the unit box, with its margin."""
+    f = np.asarray(f, dtype=np.float64)
+    u = g[j] - g[i]
+    top = float(np.abs(u).max())
+    if top > 0.0:
+        u = u / top
+        f = f - (float(f @ u) / float(u @ u)) * u
+    top = float(np.abs(f).max())
+    if top > 0.0:
+        f = f / top
+    scores = g @ f
+    rest = scores[_others(g.shape[0], i, j)]
+    margin = min(scores[i], scores[j]) - rest.max() if rest.size else math.inf
+    return f, float(margin)
+
+
+def _prove(g, i, j, sol, filters: bool):
+    """(float tie direction or None, proof path) for pair i < j of model g,
+    from the float phase-1 solution `sol` of coargmax_lp.  The float
+    filters run only when `filters` says g is the exactly rescaled model
+    they assume."""
+    if sol.status == "infeasible":
+        f = sol.duals[: g.shape[1]]
+        top = float(np.abs(f).max())
+        f = f / top if top > 0.0 else f
+        if filters and _tie_filter(g, i, j, f):
+            return f, "float"
+        if _tie_fraction(g, i, j, f):
+            return f, "fraction"
+    elif sol.status == "optimal":
+        if filters and _no_tie_filter(g, i, j, sol.x):
+            return None, "float"
+        if _no_tie_fraction(g, i, j, sol.x):
+            return None, "fraction"
+    f = _exact_phase1(g, i, j)
+    if f is None:
+        return None, "exact"
+    top = max(abs(v) for v in f)
+    return [float(v / top) for v in f], "exact"
 
 
 def coargmax_feasible(
@@ -187,81 +392,117 @@ def coargmax_feasible(
     eps: float = DEFAULT_EPS,
     strict: bool = True,
 ) -> FeasibilityReport:
-    """Decide tie feasibility for labels i and j via the margin LP.
+    """Decide tie feasibility for labels i and j, with a checked proof.
 
-    strict=True requires the pair to strictly beat every other label
-    (margin > eps).  strict=False accepts a tie at the top shared with other
-    labels (margin >= 0); that is satisfiable for every pair (f = 0 ties all
-    labels), so the weak variant exists only for completeness.
+    One float phase 1 of coargmax_lp (for the pair in index order, so both
+    orders get the same report) yields a certificate either way: duals
+    whose direction is a tie witness, or weights on at most d + 1 labels
+    whose mix lies on the line through g_i and g_j.  It is proven by an
+    error-bounded float filter, else in Fractions, else an exact rational
+    phase 1 decides the pair from scratch.  Finite input always gets a
+    proven verdict.
+
+    strict=False accepts a tie at the top shared with other labels; f = 0
+    ties every label, so every pair passes that weak test.
     """
     if i == j:
         raise ValueError("need two distinct label indices")
-    sol = solve(coargmax_lp(unembeddings, i, j))
-    if sol.status != "optimal":
-        return FeasibilityReport(
-            i, j, "indeterminate", math.nan, eps, None, sol.status
-        )
-    t_star = float(sol.objective)
-    f = sol.x[: unembeddings.d]
+    lo, hi = min(i, j), max(i, j)
+    lp = coargmax_lp(unembeddings, lo, hi)
     if not strict:
-        verdict = "feasible" if t_star >= -PIVOT_TOL else "infeasible"
-        witness = f if verdict == "feasible" else None
-        return FeasibilityReport(i, j, verdict, t_star, eps, witness)
-    if t_star > eps:
-        if not _witness_consistent(unembeddings.vectors, i, j, f, eps):
-            return FeasibilityReport(
-                i, j, "indeterminate", t_star, eps, None, "witness-check-failed"
-            )
-        return FeasibilityReport(i, j, "feasible", t_star, eps, f)
-    if t_star > PIVOT_TOL:
-        # small positive margin the LP cannot distinguish from noise
-        return FeasibilityReport(i, j, "degenerate", t_star, eps, None)
-    return FeasibilityReport(i, j, "infeasible", t_star, eps, None)
+        return FeasibilityReport(
+            i, j, "feasible", 0.0, eps, np.zeros(unembeddings.d), "optimal",
+            "exact",
+        )
+    sol = solve(lp)
+    g = unembeddings.vectors
+    e = pow2_exponent(g)
+    scaled = np.ldexp(g, -e)
+    # an exact positive multiple of g has the same certificates; when
+    # underflow rounded an entry, only the exact checks on g apply
+    exact_scale = np.array_equal(np.ldexp(scaled, e), g)
+    f, proof = _prove(scaled if exact_scale else g, lo, hi, sol, exact_scale)
+    if f is None:
+        return FeasibilityReport(
+            i, j, "infeasible", 0.0, eps, None, sol.status, proof
+        )
+    witness, margin = _witness(scaled, lo, hi, f)
+    verdict = "feasible" if margin > eps else "degenerate"
+    return FeasibilityReport(
+        i, j, verdict, margin, eps, witness, sol.status, proof
+    )
+
+
+def _orient2d_signs(a, b, c) -> np.ndarray:
+    """Exact sign of (a - c) x (b_m - c) for every row b_m of b: a float
+    evaluation with Shewchuk's static error bound, and Fractions for the
+    rows the bound cannot decide."""
+    with np.errstate(all="ignore"):  # overflow leaves a row unsure
+        ac, bc = a - c, b - c
+        left = ac[0] * bc[:, 1]
+        right = ac[1] * bc[:, 0]
+        det = left - right
+        # _TINY covers a product that underflowed (a subnormal difference
+        # is exact)
+        bound = _CCW_ERRBOUND * (np.abs(left) + np.abs(right)) + _TINY
+        unsure = np.flatnonzero(~(np.abs(det) > bound))
+    signs = np.sign(det)
+    if unsure.size:
+        fa, fc = _fractions(a), _fractions(c)
+    for m in unsure:
+        fb = _fractions(b[m])
+        exact = (fa[0] - fc[0]) * (fb[1] - fc[1]) - (fa[1] - fc[1]) * (fb[0] - fc[0])
+        signs[m] = (exact > 0) - (exact < 0)
+    return signs
 
 
 def coargmax_oracle_2d(unembeddings: UnembeddingSet, i: int, j: int) -> bool:
     """Exact 2D decider: any candidate f lies on the line orthogonal to
-    g_i - g_j, so check both unit directions of that line for strict wins."""
+    g_i - g_j, so check both directions of that line for strict wins.  The
+    sign of (g_i - g_k) . w for w = rot90(g_i - g_j) is an orientation
+    predicate, decided exactly."""
     if unembeddings.d != 2:
         raise DimensionMismatchError("the exact oracle applies to d=2 only")
     if i == j:
         raise ValueError("need two distinct label indices")
     g = unembeddings.vectors
-    diff = g[i] - g[j]
-    if diff[0] == 0.0 and diff[1] == 0.0:
+    if np.array_equal(g[i], g[j]):
         raise ZeroVectorError(
             "equal unembeddings: the orthogonal line is undefined"
         )
-    w = np.array([-diff[1], diff[0]])
-    others = [m for m in range(g.shape[0]) if m not in (i, j)]
-    if not others:
+    rest = _others(g.shape[0], i, j)
+    if not rest.size:
         return True
-    rel = g[i] - g[others]
-    for direction in (w, -w):
-        if np.all(rel @ direction > 0.0):
-            return True
-    return False
+    signs = _orient2d_signs(g[j], g[rest], g[i])
+    return bool(np.all(signs > 0) or np.all(signs < 0))
+
+
+def tie_graph(
+    unembeddings: UnembeddingSet,
+    eps: float = DEFAULT_EPS,
+    rows=None,
+) -> dict[tuple[int, int], FeasibilityReport]:
+    """Tie verdicts of every unordered pair that involves a label in `rows`
+    (default: all labels), each decided once.  Keys are (i, j) with i < j,
+    in lexicographic order."""
+    k = unembeddings.k
+    wanted = set(range(k) if rows is None else rows)
+    for i in wanted:
+        if not 0 <= i < k:
+            raise IndexError(f"label index {i} out of range for k={k}")
+    return {
+        (i, j): coargmax_feasible(unembeddings, i, j, eps=eps)
+        for i in range(k) for j in range(i + 1, k)
+        if i in wanted or j in wanted
+    }
 
 
 def tie_partners(
     unembeddings: UnembeddingSet, i: int, eps: float = DEFAULT_EPS
 ) -> set[int]:
     """All labels j that can tie with label i for the highest score."""
-    if not 0 <= i < unembeddings.k:
-        raise IndexError(f"label index {i} out of range for k={unembeddings.k}")
-    partners: set[int] = set()
-    for j in range(unembeddings.k):
-        if j == i:
-            continue
-        report = coargmax_feasible(unembeddings, i, j, eps=eps)
-        if report.verdict == "indeterminate":
-            raise LpIndeterminateError(
-                f"tie feasibility of pair ({i}, {j}) is indeterminate "
-                f"(lp status: {report.lp_status})"
-            )
-        if report.feasible:
-            partners.add(j)
-    return partners
+    graph = tie_graph(unembeddings, eps, [i])
+    return {a if b == i else b for (a, b), rep in graph.items() if rep.feasible}
 
 
 def inflated_bounds(

@@ -21,12 +21,14 @@ two-phase tableau method:
   * Iteration cap: 10 * (rows + columns)^2 per solve; hitting it yields
     status "indeterminate", never a wrong verdict.
 
-The pivot sequence is a pure function of the input, so identical problems
-produce bit-identical solutions.
+When phase 1 proves the constraints infeasible, the solution carries the
+phase-1 duals, a Farkas certificate.  The pivot sequence is a pure function
+of the input, so identical problems produce bit-identical solutions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +107,20 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LpSolution:
     """status is one of optimal | infeasible | unbounded | indeterminate;
-    x and objective are filled only when optimal."""
+    x and objective are filled only when optimal.
+
+    duals is filled only when infeasible: the phase-1 dual vector y, one
+    entry per constraint row in original orientation (the a_eq rows, the
+    a_ge rows, then one row per finite upper bound).  It is a Farkas
+    certificate up to the pivot tolerance: y . b > 0 while y . A_col <= 0
+    for every nonnegative standard-form column.
+    """
 
     status: str
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    duals: np.ndarray | None = None
 
 
 def _pivot(t: np.ndarray, row: int, col: int) -> None:
@@ -160,72 +170,62 @@ def _run_phase(t, basis, cost, allowed, max_iter, iteration_start):
         iterations += 1
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Solve a LinearProgram; see the module docstring for the algorithm."""
-    n = lp.n
-    me = lp.a_eq.shape[0]
-    mi = lp.a_ge.shape[0]
+def _standard_form(lp: LinearProgram):
+    """(mat, rhs, offset, first, free) with x = offset + xhat[first], minus
+    xhat[first + 1] for a free variable (split into a nonnegative pair).
+    The columns of mat are the structural ones, one surplus per >= row,
+    then one slack per finite upper bound; its rows are the a_eq rows, the
+    a_ge rows, then one bound row per finite upper bound."""
+    me, mi = lp.a_eq.shape[0], lp.a_ge.shape[0]
+    free = ~np.isfinite(lp.lower)
+    offset = np.where(free, 0.0, lp.lower)
+    width = np.where(free, 2, 1)
+    first = np.cumsum(width) - width  # first standard-form column per variable
+    ncols = int(width.sum())
+    bounded = np.flatnonzero(np.isfinite(lp.upper))
+    nb = bounded.size
 
-    # --- standard form: x[j] = offset[j] + sum(sign * xhat[col])
-    offset = np.zeros(n)
-    var_cols: list[list[tuple[int, float]]] = []
-    bound_rows: list[tuple[int, float]] = []  # (original var, rhs)
-    ncols = 0
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if np.isfinite(lo):
-            offset[j] = lo
-            var_cols.append([(ncols, 1.0)])
-            ncols += 1
-            if np.isfinite(hi):
-                bound_rows.append((j, hi - lo))
-        else:
-            var_cols.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
-            if np.isfinite(hi):
-                bound_rows.append((j, hi))
-    nb = len(bound_rows)
-    m = me + mi + nb
-
-    ncols_all = ncols + mi + nb  # structural + surplus + slack
-    mat = np.zeros((m, ncols_all))
-    rhs = np.zeros(m)
-    for j in range(n):
-        col_eq = lp.a_eq[:, j] if me else None
-        col_ge = lp.a_ge[:, j] if mi else None
-        for col, sign in var_cols[j]:
-            if me:
-                mat[:me, col] += sign * col_eq
-            if mi:
-                mat[me : me + mi, col] += sign * col_ge
+    mat = np.zeros((me + mi + nb, ncols + mi + nb))
+    rhs = np.zeros(me + mi + nb)
+    a_all = np.vstack([lp.a_eq, lp.a_ge])
+    mat[: me + mi, first] += a_all
+    mat[: me + mi, first[free] + 1] += -1.0 * a_all[:, free]
     if me:
         rhs[:me] = lp.b_eq - lp.a_eq @ offset
     if mi:
         rhs[me : me + mi] = lp.b_ge - lp.a_ge @ offset
-        for i in range(mi):
-            mat[me + i, ncols + i] = -1.0  # surplus
-    for t_idx, (j, ub_rhs) in enumerate(bound_rows):
-        row = me + mi + t_idx
-        for col, sign in var_cols[j]:
-            mat[row, col] = sign
-        mat[row, ncols + mi + t_idx] = 1.0  # slack
-        rhs[row] = ub_rhs
+        mat[me + np.arange(mi), ncols + np.arange(mi)] = -1.0  # surplus
+    rows = me + mi + np.arange(nb)
+    mat[rows, first[bounded]] = 1.0
+    free_bounded = free[bounded]
+    mat[rows[free_bounded], first[bounded[free_bounded]] + 1] = -1.0
+    mat[rows, ncols + mi + np.arange(nb)] = 1.0  # slack
+    hi, lo = lp.upper[bounded], lp.lower[bounded]
+    rhs[rows] = np.where(free_bounded, hi, hi - lo)
+    return mat, rhs, offset, first, free
+
+
+def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+    """Solve a LinearProgram; see the module docstring for the algorithm."""
+    me = lp.a_eq.shape[0]
+    mi = lp.a_ge.shape[0]
+    mat, rhs, offset, first, free = _standard_form(lp)
+    m, ncols_all = mat.shape
+    nb = m - me - mi
+    ncols = ncols_all - mi - nb  # structural columns
 
     # normalize rhs >= 0
     neg = rhs < 0.0
     mat[neg] *= -1.0
     rhs[neg] = -rhs[neg]
 
-    # seed the basis with unit slack/surplus columns where possible
+    # seed the basis with unit slack/surplus columns where possible (a
+    # surplus column is +1 only in a negated row)
     basis = np.full(m, -1, dtype=np.int64)
-    for i in range(mi):
-        row = me + i
-        if mat[row, ncols + i] == 1.0:  # row was negated: surplus flipped to +1
-            basis[row] = ncols + i
-    for t_idx in range(nb):
-        row = me + mi + t_idx
-        if mat[row, ncols + mi + t_idx] == 1.0:
-            basis[row] = ncols + mi + t_idx
+    rows = np.arange(me, m)
+    cols = ncols + np.arange(mi + nb)
+    unit = mat[rows, cols] == 1.0
+    basis[rows[unit]] = cols[unit]
 
     art_rows = np.flatnonzero(basis < 0)
     n_art = art_rows.size
@@ -233,9 +233,9 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     tab = np.zeros((m + 1, total_cols + 1))
     tab[:m, :ncols_all] = mat
     tab[:m, total_cols] = rhs
-    for a_idx, row in enumerate(art_rows):
-        tab[row, ncols_all + a_idx] = 1.0
-        basis[row] = ncols_all + a_idx
+    tab[art_rows, ncols_all + np.arange(n_art)] = 1.0
+    basis[art_rows] = ncols_all + np.arange(n_art)
+    unit_cols = basis.copy()  # the identity block the tableau started from
 
     if max_iterations is None:
         max_iterations = 10 * (m + total_cols) ** 2
@@ -255,7 +255,12 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         if outcome == "unbounded":  # cannot happen for a sum of nonnegatives
             return LpSolution("indeterminate", None, None, iterations)
         if -tab[m, total_cols] > PHASE1_TOL:
-            return LpSolution("infeasible", None, None, iterations)
+            # y = c_B B^-1 is the starting unit columns' cost minus their
+            # reduced cost; negated rows flip back to original orientation
+            duals = cost1[unit_cols] - tab[m, unit_cols]
+            duals[neg] *= -1.0
+            duals.setflags(write=False)
+            return LpSolution("infeasible", None, None, iterations, duals)
         # drive leftover artificials out of the basis; drop redundant rows
         drop: list[int] = []
         for row in range(m):
@@ -277,9 +282,8 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
 
     # phase 2: minimize the negated objective over structural columns
     cost2 = np.zeros(total_cols)
-    for j in range(n):
-        for col, sign in var_cols[j]:
-            cost2[col] += -sign * lp.objective[j]
+    cost2[first] += -lp.objective
+    cost2[first[free] + 1] += lp.objective[free]
     outcome, iterations = _run_phase(
         tab, basis, cost2, structural, max_iterations, iterations
     )
@@ -290,10 +294,8 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
 
     xhat = np.zeros(total_cols)
     xhat[basis] = tab[:m, total_cols]
-    x = offset.copy()
-    for j in range(n):
-        for col, sign in var_cols[j]:
-            x[j] += sign * xhat[col]
+    x = offset + xhat[first]
+    x[free] += -1.0 * xhat[first[free] + 1]
 
     # defensive residual check: downgrade rather than return a bad vertex
     scale = 1.0 + max(
@@ -319,20 +321,34 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     return LpSolution("optimal", x, float(lp.objective @ x), iterations)
 
 
-def coargmax_lp(unembeddings, i: int, j: int, t_cap: float = 1e6) -> LinearProgram:
-    """LP deciding whether labels i and j can tie for the highest score.
+def pow2_exponent(vectors) -> int:
+    """The e with max |v| in [2**(e-1), 2**e): dividing by 2**e (np.ldexp)
+    puts the largest entry in [0.5, 1) and, barring underflow, rounds
+    nothing."""
+    return math.frexp(float(np.abs(vectors).max()))[1]
 
-    Variables are an embedding point f (one per dimension) and a margin t:
 
-        maximize  t
-        s.t.      (g_i - g_j) . f  = 0
-                  (g_i - g_k) . f >= t   for every other label k
-                  -1 <= f_m <= 1,  t <= t_cap
+def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
+    """Phase-1 LP deciding whether labels i and j can tie for the highest
+    score, with d + 1 equality rows.
 
-    The target set {f : f.g_i = f.g_j > f.g_k} is a cone: if f works then so
-    does any positive multiple.  Restricting f to the unit box therefore
-    loses no verdicts, and it makes the LP bounded.  t caps at t_cap so the
-    two-label case (no competing constraints) stays bounded too.
+    Variables are weights mu_k >= 0 on every other label k (in index
+    order) and a free s, the last variable:
+
+        sum_k mu_k g_k - s (g_j - g_i) = g_i,    sum_k mu_k = 1.
+
+    It is feasible exactly when a convex combination of the other labels
+    lies on the line through g_i and g_j.  By Motzkin's transposition
+    theorem that is exactly when no f has f.g_i = f.g_j > f.g_k for every
+    other k, i.e. when the pair cannot tie.  When phase 1 ends infeasible,
+    its duals (f, c) satisfy f.g_k + c <= 0 < f.g_i + c and
+    f.(g_j - g_i) = 0: f is a tie witness.  The objective is zero, so
+    phase 1 decides everything.
+
+    The model is first divided by 2**pow2_exponent(g).  That is exact, so
+    no verdict changes, and it makes the system the same for every
+    power-of-two scale of the model.  The sum row makes it move with any
+    translation of the labels, so no centring is needed.
     """
     g = unembeddings.vectors
     k, d = g.shape
@@ -340,17 +356,12 @@ def coargmax_lp(unembeddings, i: int, j: int, t_cap: float = 1e6) -> LinearProgr
         raise ValueError("need two distinct label indices")
     if not (0 <= i < k and 0 <= j < k):
         raise IndexError(f"label indices ({i}, {j}) out of range for k={k}")
+    g = np.ldexp(g, -pow2_exponent(g))
     others = [m for m in range(k) if m not in (i, j)]
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = g[i] - g[j]
-    b_eq = np.zeros(1)
-    a_ge = np.zeros((len(others), d + 1))
-    for row, m in enumerate(others):
-        a_ge[row, :d] = g[i] - g[m]
-        a_ge[row, d] = -1.0
-    b_ge = np.zeros(len(others))
-    lower = np.concatenate([np.full(d, -1.0), [-np.inf]])
-    upper = np.concatenate([np.full(d, 1.0), [float(t_cap)]])
-    return LinearProgram(c, a_eq, b_eq, a_ge, b_ge, lower, upper)
+    a_eq = np.zeros((d + 1, k - 1))
+    a_eq[:d, :-1] = g[others].T
+    a_eq[:d, -1] = g[i] - g[j]
+    a_eq[d, :-1] = 1.0
+    b_eq = np.append(g[i], 1.0)
+    lower = np.append(np.zeros(k - 2), -np.inf)
+    return LinearProgram(np.zeros(k - 1), a_eq, b_eq, lower=lower)

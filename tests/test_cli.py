@@ -178,6 +178,19 @@ class TestTies:
         assert main(["ties", "--input", _model_path(data_dir, "centered"),
                      "--index", "11"]) == 3
 
+    def test_collinear_labels_exit_0(self, tmp_path):
+        # g_2 lies exactly on the segment g_0 g_1, so pair (0, 1) cannot
+        # tie; the exact oracle must agree with the LP's proof
+        path = tmp_path / "collinear.csv"
+        path.write_text("label,dim_0,dim_1\na,0,0\nb,5,5\nc,4.0097,4.0097\n")
+        report_path = str(tmp_path / "ties.json")
+        assert main(["ties", "--input", str(path), "--all",
+                     "--output", report_path]) == 0
+        pairs = load_report(report_path)["feasibility"]["pairs"]
+        pair_01 = next(p for p in pairs if (p["i"], p["j"]) == (0, 1))
+        assert pair_01["verdict"] == "infeasible"
+        assert pair_01["oracle"] is False
+
     def test_witnesses_recorded_for_feasible_pairs(self, data_dir, tmp_path):
         report_path = str(tmp_path / "ties.json")
         main(["ties", "--input", _model_path(data_dir, "centered"),
@@ -262,6 +275,21 @@ class TestVerifyEquivalence:
         assert main(["verify-equivalence", "--input", base,
                      "--other", scaled_wrong]) == 0
         assert "NOT EQUIVALENT" in capsys.readouterr().out
+
+    def test_embeddings_flag_supplies_the_points(self, data_dir, tmp_path):
+        points = tmp_path / "points.csv"
+        rows = np.random.default_rng(5).uniform(-1.0, 1.0, size=(37, 2))
+        points.write_text("point,dim_0,dim_1\n" + "".join(
+            f"p{n},{x:.17g},{y:.17g}\n" for n, (x, y) in enumerate(rows)))
+        report_path = str(tmp_path / "eq.json")
+        assert main(["verify-equivalence", "--input",
+                     _model_path(data_dir, "unrestricted", "csv"),
+                     "--embeddings", str(points),
+                     "--other", _model_path(data_dir, "unrestricted"),
+                     "--output", report_path]) == 0
+        report = load_report(report_path)
+        assert report["equivalence"]["num_points_checked"] == 37
+        assert report["input"]["n_points"] == 37
 
     def test_dimension_mismatch_exits_3(self, data_dir, tmp_path):
         other = str(tmp_path / "m3.json")
@@ -352,16 +380,27 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "similarity" in capsys.readouterr().out
 
-    def test_lp_oracle_disagreement_exits_4(self, tmp_path, capsys):
-        # a pair whose true margin (~5e-10) sits below the solver's noise
-        # floor: the LP reads it as infeasible while the exact oracle
-        # proves a strict tie direction exists, so the cross-check must
-        # trip the consistency failure path
+    def test_lp_oracle_disagreement_exits_4(self, tmp_path, capsys,
+                                           monkeypatch):
+        # pair (2, 4) can tie, but only by a margin of about 5e-10: a
+        # proven tie below eps (degenerate) that the exact oracle confirms
         model = SoftmaxModel(UnembeddingSet(
             ("l0", "l1", "l2", "l3", "l4"),
             [[0.0, -1.0], [0.0, -2.0], [2.0, 0.0], [1.0, 0.0], [0.0, 1e-9]],
         ))
         path = str(tmp_path / "edge.json")
         save_model(model, path)
+        report_path = str(tmp_path / "ties.json")
+        assert main(["ties", "--input", path, "--index", "2",
+                     "--output", report_path]) == 0
+        verdicts = {(p["i"], p["j"]): p["verdict"]
+                    for p in load_report(report_path)["feasibility"]["pairs"]}
+        assert verdicts[(2, 4)] == "degenerate"
+        assert verdicts[(2, 3)] == "infeasible"
+        # an oracle that contradicts a verdict trips the exit-4 path
+        import unembed.cli
+        oracle = unembed.cli.coargmax_oracle_2d
+        monkeypatch.setattr(unembed.cli, "coargmax_oracle_2d",
+                            lambda u, i, j: not oracle(u, i, j))
         assert main(["ties", "--input", path, "--index", "2"]) == 4
         assert "consistency" in capsys.readouterr().err

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unembed import (
     DimensionMismatchError,
@@ -21,9 +22,19 @@ from unembed import (
     region_adjacency,
     scale_pair,
     similarity_matrix,
+    tie_graph,
     tie_partners,
     translate,
 )
+from unembed.geometry import (
+    _exact_phase1,
+    _no_tie_filter,
+    _no_tie_fraction,
+    _orient2d_signs,
+    _tie_filter,
+    _tie_fraction,
+)
+from unembed.lp import coargmax_lp, solve
 from oracle_utils import coargmax_bruteforce, cosine_reference
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -197,8 +208,78 @@ class TestCoargmaxFeasible:
         assert scores[2] - others.max() > rep.eps / 2
 
     def test_margin_reported(self, centered):
+        # the witness's unit-box margin on the model divided by 2**1
+        # (max |g| = 1.4): above eps, at most the box optimum 0.2 / 2
         rep = coargmax_feasible(centered.model.unembeddings, 2, 3)
-        assert rep.margin == pytest.approx(0.2, abs=1e-9)
+        assert rep.eps < rep.margin <= 0.1 + 1e-12
+
+    # (workload, seed, model index, (d, k), pair): the perfbench README's
+    # "known failure" reproducers, where the old margin LP failed in one
+    # order
+    REPRODUCERS = [
+        ("ties-dense", 1355062222, 9, (16, 22), (6, 1), "feasible"),
+        ("ties-dense", 1207187955, 1, (8, 24), (13, 18), "feasible"),
+        ("ties-hull", 1069673014, 0, (2, 32), (0, 9), "infeasible"),
+        ("ties-hull", 1097127993, 10, (3, 30), (25, 12), "infeasible"),
+    ]
+
+    @pytest.mark.parametrize("case", REPRODUCERS, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_perfbench_reproducers_both_orders(self, case):
+        _, seed, n, (d, k), (i, j), verdict = case
+        g = np.random.default_rng([seed, n]).standard_normal((k, d))
+        u = UnembeddingSet(tuple(f"l{m}" for m in range(k)), g)
+        forward, backward = coargmax_feasible(u, i, j), coargmax_feasible(u, j, i)
+        assert forward.verdict == backward.verdict == verdict
+        assert (_exact_phase1(g, min(i, j), max(i, j)) is None) == (
+            verdict == "infeasible")
+
+    @pytest.mark.parametrize("c", [2.0 ** -1000, 1e-300, 1e-8, 1e300])
+    def test_centered_partners_under_scale_pair(self, centered, c):
+        scaled = scale_pair(centered.model, c).unembeddings
+        assert tie_partners(scaled, 2) == {1, 3}
+
+    def test_duplicate_vectors_match_exact_fallback(self):
+        # g_5 = g_2 and g_7 = g_1: the pair's line is undefined, so the
+        # projection is skipped; each verdict must match exact phase 1
+        g = np.random.default_rng(3).standard_normal((8, 3))
+        g[5], g[7] = g[2], g[1]
+        u = UnembeddingSet(tuple(f"l{m}" for m in range(8)), g)
+        graph = tie_graph(u)
+        for (i, j), rep in graph.items():
+            assert rep.verdict != "indeterminate"
+            can_tie = _exact_phase1(g, i, j) is not None
+            assert (rep.verdict != "infeasible") == can_tie, (i, j)
+        assert graph[2, 5].verdict == "feasible"  # a hull vertex, twice
+        assert graph[2, 4].verdict == graph[4, 5].verdict
+
+    def test_low_rank_model_proven(self):
+        # twelve labels in a 3-dimensional coordinate subspace of R^8:
+        # redundant rows are dropped and the certificates still prove
+        g = np.zeros((12, 8))
+        g[:, :3] = np.random.default_rng(0).standard_normal((12, 3))
+        u = UnembeddingSet(tuple(f"l{m}" for m in range(12)), g)
+        for (i, j), rep in tie_graph(u).items():
+            assert rep.verdict in ("feasible", "infeasible")
+            assert (_exact_phase1(g, i, j) is None) == (rep.verdict == "infeasible")
+
+    @given(st.integers(2, 8), st.integers(3, 7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_order_symmetry(self, d, k, data):
+        g = data.draw(arrays(np.float64, (k, d), elements=coord))
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(0, k - 1))
+        assume(i != j)
+        u = UnembeddingSet(tuple(f"l{n}" for n in range(k)), g)
+        rep = coargmax_feasible(u, i, j)
+        assert rep.verdict == coargmax_feasible(u, j, i).verdict
+        # swapping the two rows hands the LP the pair in the other order
+        swapped = g.copy()
+        swapped[[i, j]] = g[[j, i]]
+        other = coargmax_feasible(
+            UnembeddingSet(u.labels, swapped), i, j
+        )
+        assert (rep.verdict == "infeasible") == (other.verdict == "infeasible")
+        assert rep.verdict in ("feasible", "degenerate", "infeasible")
 
     def test_same_index_rejected(self, centered):
         with pytest.raises(ValueError):
@@ -217,6 +298,98 @@ class TestCoargmaxFeasible:
         u = UnembeddingSet(("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         rep = coargmax_feasible(u, 0, 1)
         assert rep.verdict == "feasible"
+
+
+class TestCertificateChecks:
+    """Each check must reject a certificate that does not hold exactly."""
+
+    def test_reject_false_certificates(self, centered, unrestricted):
+        rng = np.random.default_rng(1)
+        for ex in (centered, unrestricted):
+            u = ex.model.unembeddings
+            g, k = u.vectors, u.k
+            for (i, j), rep in tie_graph(u).items():
+                if rep.verdict == "infeasible":
+                    for f in rng.standard_normal((20, 2)):
+                        assert not _tie_filter(g, i, j, f)
+                        assert not _tie_fraction(g, i, j, f)
+                else:
+                    x = np.append(np.full(k - 2, 1.0 / (k - 2)), 0.5)
+                    assert not _no_tie_filter(g, i, j, x)
+                    assert not _no_tie_fraction(g, i, j, x)
+
+    def test_phase1_near_miss_is_rejected(self):
+        # phase 1 calls the 1.25e-10 tie of pair (2, 4) infeasible within
+        # its tolerance; its weights must fail both exact checks
+        u = UnembeddingSet(tuple("abcde"), [[0.0, -1.0], [0.0, -2.0],
+                                             [2.0, 0.0], [1.0, 0.0],
+                                             [0.0, 1e-9]])
+        sol = solve(coargmax_lp(u, 2, 4))
+        assert sol.status == "optimal"
+        g = u.vectors / 4.0  # the LP's power-of-two rescale
+        assert not _no_tie_filter(g, 2, 4, sol.x)
+        assert not _no_tie_fraction(g, 2, 4, sol.x)
+        rep = coargmax_feasible(u, 2, 4)
+        assert (rep.verdict, rep.proof) == ("degenerate", "exact")
+
+    def test_collinear_direction_is_not_a_witness(self):
+        g = np.array([[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]])
+        f = np.array([1.0, -1.0])  # ties all three labels at 0
+        assert not _tie_filter(g, 0, 1, f)
+        assert not _tie_fraction(g, 0, 1, f)
+
+    def test_tiny_pair_next_to_unit_labels(self):
+        # u = g_3 - g_2 is about 1e-300: u.u underflows unless the norm
+        # is scaled, and the pair must not be called a tie
+        g = np.array([[1.29432239, -2.1742207], [-1.1311862, -0.498323859],
+                      [9.20364087e-301, 1.2284717e-300],
+                      [-3.02957756e-301, 2.33874758e-301]])
+        u = UnembeddingSet(tuple("abcd"), g)
+        assert coargmax_feasible(u, 2, 3).verdict == "infeasible"
+        assert coargmax_oracle_2d(u, 2, 3) is False
+
+    def test_absorbed_difference_checked_exactly(self):
+        # g_0 - g_2 rounds g_2 (1e-151) away; the exact check must form
+        # that difference in Fractions, and the pair can tie
+        g = np.array([[1.10667987, 1.86090631], [0.531453546, -1.04510288],
+                      [-3.51731766e-151, 3.9515675e-151],
+                      [-2.69873719e-301, -2.05096127e-302]])
+        u = UnembeddingSet(tuple("abcd"), g)
+        assert coargmax_feasible(u, 0, 2).verdict != "infeasible"
+        assert coargmax_oracle_2d(u, 0, 2) is True
+
+    def test_mixed_magnitudes_match_exact_phase1(self):
+        rng = np.random.default_rng(4)
+        for t in range(40):
+            d, k = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+            scale = 10.0 ** rng.choice([-300, -150, 0, 150, 300], size=(k, 1))
+            g = rng.standard_normal((k, d)) * scale
+            if t % 3 == 0:
+                g[0, 1] = 5e-324  # the power-of-two rescale rounds it away
+            u = UnembeddingSet(tuple(f"l{m}" for m in range(k)), g)
+            for (i, j), rep in tie_graph(u).items():
+                can_tie = _exact_phase1(g, i, j) is not None
+                assert (rep.verdict != "infeasible") == can_tie, (t, i, j)
+                if d == 2:
+                    assert coargmax_oracle_2d(u, i, j) == can_tie, (t, i, j)
+
+    def test_orientation_signs_exact(self):
+        # points rounded onto (or next to) the line through a and c
+        from fractions import Fraction
+
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            a, c = rng.uniform(-5, 5, size=(2, 2))
+            t = rng.uniform(-2, 3, size=8)
+            b = a + t[:, None] * (c - a)
+            b[::2] = np.nextafter(b[::2], np.inf)
+            signs = _orient2d_signs(a, b, c)
+            fa, fc = [Fraction(v) for v in a], [Fraction(v) for v in c]
+            for row, sign in zip(b, signs):
+                fb = [Fraction(v) for v in row]
+                exact = ((fa[0] - fc[0]) * (fb[1] - fc[1])
+                         - (fa[1] - fc[1]) * (fb[0] - fc[0]))
+                assert sign == (exact > 0) - (exact < 0)
 
 
 class TestCoargmaxOracle2d:
@@ -240,6 +413,14 @@ class TestCoargmaxOracle2d:
     def test_two_label_model_true(self):
         u = UnembeddingSet(("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         assert coargmax_oracle_2d(u, 0, 1) is True
+
+    def test_collinear_labels_exact(self):
+        # g_2 lies exactly on the segment g_0 g_1; a plain float dot
+        # product puts it 8.9e-16 off the line
+        u = UnembeddingSet(("a", "b", "c"),
+                           [[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]])
+        assert coargmax_oracle_2d(u, 0, 1) is False
+        assert coargmax_feasible(u, 0, 1).verdict == "infeasible"
 
     def test_agrees_with_bruteforce_scan(self, centered, unrestricted):
         for ex in (centered, unrestricted):
@@ -295,17 +476,17 @@ class TestLpOracleAgreement:
         return best
 
     @given(st.lists(st.tuples(coord, coord), min_size=3, max_size=6),
-           st.data())
+           st.integers(0, 5), st.integers(0, 5))
+    @example([(0.0, 0.0), (5.0, 5.0), (4.0097, 4.0097)], 0, 1)
     @settings(max_examples=150, deadline=None)
-    def test_agreement_property(self, rows, data):
+    def test_agreement_property(self, rows, i, j):
         g = np.array(rows)
         diffs = g[:, None, :] - g[None, :, :]
         dist = np.sqrt((diffs**2).sum(-1))
         k = len(rows)
         assume(dist[~np.eye(k, dtype=bool)].min() >= 1e-2)
         u = UnembeddingSet(tuple(f"l{n}" for n in range(k)), g)
-        i = data.draw(st.integers(0, k - 1))
-        j = data.draw(st.integers(0, k - 1))
+        i, j = i % k, j % k
         assume(i != j)
         # margins inside (0, eps] sit below the solver's noise floor: the
         # pair can tie mathematically but not by a float-certifiable
@@ -338,6 +519,14 @@ class TestTiePartners:
         for i in range(u.k):
             for j in tie_partners(u, i):
                 assert i in tie_partners(u, j)
+
+    def test_tie_graph_decides_each_pair_once(self, centered):
+        u = centered.model.unembeddings
+        graph = tie_graph(u)
+        assert list(graph) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert list(tie_graph(u, rows=[2])) == [(0, 2), (1, 2), (2, 3), (2, 4)]
+        with pytest.raises(IndexError):
+            tie_graph(u, rows=[5])
 
 
 class TestInflatedBounds:

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from unembed import LinearProgram, UnembeddingSet, coargmax_lp
-from unembed.lp import PIVOT_TOL, solve
+from unembed.lp import PIVOT_TOL, _standard_form, solve
 
 
 def _scipy_solve(lp: LinearProgram):
@@ -164,6 +164,72 @@ class TestAgainstScipy:
             assert np.all(x <= lp.upper + 1e-9)
 
 
+def _standard_form_loop(lp: LinearProgram):
+    """Reference: the per-variable loop that _standard_form vectorizes."""
+    n, me, mi = lp.n, lp.a_eq.shape[0], lp.a_ge.shape[0]
+    offset = np.zeros(n)
+    var_cols, bound_rows, ncols = [], [], 0
+    for j in range(n):
+        lo, hi = lp.lower[j], lp.upper[j]
+        if np.isfinite(lo):
+            offset[j] = lo
+            var_cols.append([(ncols, 1.0)])
+            ncols += 1
+            if np.isfinite(hi):
+                bound_rows.append((j, hi - lo))
+        else:
+            var_cols.append([(ncols, 1.0), (ncols + 1, -1.0)])
+            ncols += 2
+            if np.isfinite(hi):
+                bound_rows.append((j, hi))
+    nb = len(bound_rows)
+    mat = np.zeros((me + mi + nb, ncols + mi + nb))
+    rhs = np.zeros(me + mi + nb)
+    for j in range(n):
+        for col, sign in var_cols[j]:
+            if me:
+                mat[:me, col] += sign * lp.a_eq[:, j]
+            if mi:
+                mat[me : me + mi, col] += sign * lp.a_ge[:, j]
+    if me:
+        rhs[:me] = lp.b_eq - lp.a_eq @ offset
+    if mi:
+        rhs[me : me + mi] = lp.b_ge - lp.a_ge @ offset
+        for i in range(mi):
+            mat[me + i, ncols + i] = -1.0
+    for t, (j, ub_rhs) in enumerate(bound_rows):
+        for col, sign in var_cols[j]:
+            mat[me + mi + t, col] = sign
+        mat[me + mi + t, ncols + mi + t] = 1.0
+        rhs[me + mi + t] = ub_rhs
+    return mat, rhs, offset, var_cols
+
+
+class TestStandardForm:
+    def test_matches_loop_reference_bit_for_bit(self, rng):
+        for _ in range(300):
+            n, me, mi = (int(v) for v in rng.integers((1, 0, 0), (7, 3, 5)))
+            lower = np.where(rng.random(n) < 0.4, -np.inf, rng.uniform(-3, 1, n))
+            upper = np.where(rng.random(n) < 0.4, np.inf, rng.uniform(1, 4, n))
+            lp = LinearProgram(
+                rng.uniform(-1, 1, n),
+                rng.uniform(-3, 3, (me, n)) if me else None,
+                rng.uniform(-3, 3, me) if me else None,
+                rng.uniform(-3, 3, (mi, n)) if mi else None,
+                rng.uniform(-3, 3, mi) if mi else None,
+                lower, upper,
+            )
+            mat, rhs, offset, first, free = _standard_form(lp)
+            ref_mat, ref_rhs, ref_offset, var_cols = _standard_form_loop(lp)
+            for got, want in ((mat, ref_mat), (rhs, ref_rhs), (offset, ref_offset)):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert var_cols == [
+                [(int(c), 1.0)] + ([(int(c) + 1, -1.0)] if f else [])
+                for c, f in zip(first, free)
+            ]
+
+
 class TestDeterminism:
     def test_bitwise_repeatable(self, centered):
         u = centered.model.unembeddings
@@ -184,36 +250,47 @@ class TestCoargmaxLp:
     def test_program_shape(self, centered):
         u = centered.model.unembeddings
         lp = coargmax_lp(u, 2, 4)
-        assert lp.n == u.d + 1  # point coordinates plus the margin
-        assert lp.a_eq.shape == (1, u.d + 1)
-        assert lp.a_ge.shape == (u.k - 2, u.d + 1)
-        assert lp.lower[-1] == -np.inf
-        assert lp.upper[-1] == 1e6
+        assert lp.n == u.k - 1  # weights on the other labels plus s
+        assert lp.a_eq.shape == (u.d + 1, u.k - 1)
+        assert lp.a_ge.shape == (0, u.k - 1)
+        assert np.all(lp.objective == 0.0)  # phase 1 decides everything
+        assert np.all(lp.lower[:-1] == 0.0) and lp.lower[-1] == -np.inf
+        assert np.all(lp.upper == np.inf)
+        # the model is divided by the power of two 2**1 (max |g| = 1.4)
+        np.testing.assert_array_equal(lp.b_eq, np.append(u.vector(2) / 2, 1.0))
+        np.testing.assert_array_equal(lp.a_eq[:2, -1], (u.vector(2) - u.vector(4)) / 2)
 
-    def test_margin_values_on_centered_fixture(self, centered):
-        # frozen from this solver and confirmed by scipy on first run
+    def test_statuses_on_centered_fixture(self, centered):
+        # phase 1 is feasible exactly when the pair cannot tie
         u = centered.model.unembeddings
-        margins = {}
-        for i, j in [(2, 4), (2, 3), (2, 1), (2, 0), (0, 1), (1, 3)]:
-            sol = solve(coargmax_lp(u, i, j))
-            assert sol.status == "optimal"
-            margins[(i, j)] = sol.objective
-        assert abs(margins[(2, 4)]) <= PIVOT_TOL  # tie impossible
-        assert margins[(2, 3)] == pytest.approx(0.2, abs=1e-9)
-        assert margins[(2, 1)] == pytest.approx(0.2696, abs=1e-4)
-        assert abs(margins[(2, 0)]) <= PIVOT_TOL
-        assert margins[(0, 1)] == pytest.approx(2.3, abs=1e-9)
-        assert abs(margins[(1, 3)]) <= PIVOT_TOL
+        expected = {(2, 4): "optimal", (2, 3): "infeasible",
+                    (2, 1): "infeasible", (2, 0): "optimal",
+                    (0, 1): "infeasible", (1, 3): "optimal"}
+        for (i, j), status in expected.items():
+            assert solve(coargmax_lp(u, i, j)).status == status
 
-    def test_two_label_model_hits_cap(self):
-        # with k = 2 there is no third label to beat, so the margin rides
-        # its upper bound
+    def test_two_label_model_can_tie(self):
+        # with k = 2 there are no weights, so sum mu = 1 cannot hold
         u = UnembeddingSet(("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         sol = solve(coargmax_lp(u, 0, 1))
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(1e6)
+        assert sol.status == "infeasible"
 
-    def test_margins_match_scipy(self, centered, unrestricted):
+    def test_infeasible_duals_are_a_farkas_certificate(self, centered, unrestricted):
+        for ex in (centered, unrestricted):
+            u = ex.model.unembeddings
+            for i in range(u.k):
+                for j in range(i + 1, u.k):
+                    lp = coargmax_lp(u, i, j)
+                    sol = solve(lp)
+                    if sol.status != "infeasible":
+                        assert sol.duals is None
+                        continue
+                    y = sol.duals
+                    assert y @ lp.b_eq > 0.0
+                    assert np.all(y @ lp.a_eq[:, :-1] <= PIVOT_TOL)  # mu >= 0
+                    assert abs(y @ lp.a_eq[:, -1]) <= PIVOT_TOL  # s free
+
+    def test_statuses_match_scipy(self, centered, unrestricted):
         for ex in (centered, unrestricted):
             u = ex.model.unembeddings
             for i in range(u.k):
@@ -221,6 +298,6 @@ class TestCoargmaxLp:
                     lp = coargmax_lp(u, i, j)
                     sol = solve(lp)
                     ref = _scipy_solve(lp)
-                    assert sol.status == "optimal"
-                    assert ref.status == 0
-                    assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
+                    assert ref.status in (0, 2)  # optimal or infeasible
+                    assert sol.status == ("optimal" if ref.status == 0
+                                          else "infeasible")

@@ -10,10 +10,11 @@ dimension through the (d+1)-row phase-1 LP of `coargmax_lp`, and proves
 the certificate that phase 1 ends with (a tie witness, or labels whose mix
 lies on the line through g_i and g_j) in floats with an error bound, in
 Fractions, or by an exact rational phase 1.  `tie_graph` decides every
-unordered pair once.  `coargmax_oracle_2d` answers exactly in two
-dimensions: there f is confined to the line orthogonal to g_i - g_j, so
-it suffices to test the two directions of that line, each sign by an
-exact orientation predicate.
+unordered pair once, and settles all pairs of a label proven to lie inside
+the convex hull of the others from that one proof.  `coargmax_oracle_2d`
+answers exactly in two dimensions: there f is confined to the line
+orthogonal to g_i - g_j, so it suffices to test the two directions of that
+line, each sign by an exact orientation predicate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .lp import coargmax_lp, pow2_exponent, solve
+from .lp import coargmax_lp, hull_lp, pow2_exponent, solve
 from .model import SoftmaxModel, UnembeddingSet, as_label_vector
 
 __all__ = [
@@ -360,6 +361,15 @@ def _witness(g, i, j, f):
     return f, float(margin)
 
 
+def _rescaled(g):
+    """g divided by 2**pow2_exponent(g), and whether that division was
+    exact.  An exact positive multiple of g has the same certificates; when
+    underflow rounded an entry, only the exact checks on g apply."""
+    e = pow2_exponent(g)
+    scaled = np.ldexp(g, -e)
+    return scaled, np.array_equal(np.ldexp(scaled, e), g)
+
+
 def _prove(g, i, j, sol, filters: bool):
     """(float tie direction or None, proof path) for pair i < j of model g,
     from the float phase-1 solution `sol` of coargmax_lp.  The float
@@ -416,11 +426,7 @@ def coargmax_feasible(
         )
     sol = solve(lp)
     g = unembeddings.vectors
-    e = pow2_exponent(g)
-    scaled = np.ldexp(g, -e)
-    # an exact positive multiple of g has the same certificates; when
-    # underflow rounded an entry, only the exact checks on g apply
-    exact_scale = np.array_equal(np.ldexp(scaled, e), g)
+    scaled, exact_scale = _rescaled(g)
     f, proof = _prove(scaled if exact_scale else g, lo, hi, sol, exact_scale)
     if f is None:
         return FeasibilityReport(
@@ -456,25 +462,65 @@ def _orient2d_signs(a, b, c) -> np.ndarray:
     return signs
 
 
+def _in_open_half_plane(p, c) -> bool:
+    """Exactly: are the vectors p_m - c, rows p_m of p, all nonzero and in
+    one open half-plane?  They are iff, from some p_a - c, every other one
+    turns counterclockwise by an angle in [0, pi): a positive orientation,
+    or orientation zero and the same coordinate signs (a float difference
+    has the exact sign)."""
+    signs = np.sign(p - c)
+    if np.any(np.all(signs == 0, axis=1)):
+        return False
+    return any(
+        np.all((turn > 0) | ((turn == 0) & np.all(signs == signs[a], axis=1)))
+        for a, turn in enumerate(_orient2d_signs(q, p, c) for q in p)
+    )
+
+
 def coargmax_oracle_2d(unembeddings: UnembeddingSet, i: int, j: int) -> bool:
     """Exact 2D decider: any candidate f lies on the line orthogonal to
     g_i - g_j, so check both directions of that line for strict wins.  The
     sign of (g_i - g_k) . w for w = rot90(g_i - g_j) is an orientation
-    predicate, decided exactly."""
+    predicate, decided exactly.  When g_i = g_j, any f may do: the pair
+    ties iff every g_k - g_i is nonzero and in one open half-plane."""
     if unembeddings.d != 2:
         raise DimensionMismatchError("the exact oracle applies to d=2 only")
     if i == j:
         raise ValueError("need two distinct label indices")
     g = unembeddings.vectors
-    if np.array_equal(g[i], g[j]):
-        raise ZeroVectorError(
-            "equal unembeddings: the orthogonal line is undefined"
-        )
     rest = _others(g.shape[0], i, j)
     if not rest.size:
         return True
+    if np.array_equal(g[i], g[j]):
+        return _in_open_half_plane(g[rest], g[i])
     signs = _orient2d_signs(g[j], g[rest], g[i])
     return bool(np.all(signs > 0) or np.all(signs < 0))
+
+
+def _clear_vertices(g) -> np.ndarray:
+    """Labels that look like hull vertices in floats: g_i beats every other
+    label in the direction g_i - mean.  A heuristic, not a proof; a wrong
+    answer only costs pair LPs."""
+    scores = (g - g.mean(axis=0)) @ g.T
+    own = np.diag(scores).copy()
+    np.fill_diagonal(scores, -np.inf)
+    return own > scores.max(axis=1)
+
+
+def _inside_proof(unembeddings: UnembeddingSet, i: int, scaled,
+                  exact_scale: bool) -> str:
+    """The proof path ("float" or "fraction") of weights on the other labels
+    whose mix is g_i, found by hull_lp and proven like coargmax_feasible's
+    "cannot tie" certificates (with u = 0 and s = 0); "" when there are
+    none or they cannot be proven."""
+    sol = solve(hull_lp(unembeddings, i))
+    if sol.status != "optimal":
+        return ""
+    x = np.append(sol.x, 0.0)  # the s of the pair system (i, i)
+    if exact_scale and _no_tie_filter(scaled, i, i, x):
+        return "float"
+    g = scaled if exact_scale else unembeddings.vectors
+    return "fraction" if _no_tie_fraction(g, i, i, x) else ""
 
 
 def tie_graph(
@@ -484,17 +530,46 @@ def tie_graph(
 ) -> dict[tuple[int, int], FeasibilityReport]:
     """Tie verdicts of every unordered pair that involves a label in `rows`
     (default: all labels), each decided once.  Keys are (i, j) with i < j,
-    in lexicographic order."""
+    in lexicographic order.
+
+    A label inside the convex hull of the others can win nowhere.  Once
+    that is proven for label i (one hull_lp and its certificate), every
+    pair (i, j) with g_j != g_i is infeasible by Motzkin: if the weights
+    skip j, their mix g_i is on the line through g_i and g_j; if they give
+    j weight lam < 1, (g_i - lam g_j) / (1 - lam) is a mix of the rest on
+    that line.  Such a pair is reported with the proof path of label i's
+    certificate.  Every other pair goes to coargmax_feasible."""
     k = unembeddings.k
     wanted = set(range(k) if rows is None else rows)
     for i in wanted:
         if not 0 <= i < k:
             raise IndexError(f"label index {i} out of range for k={k}")
-    return {
-        (i, j): coargmax_feasible(unembeddings, i, j, eps=eps)
-        for i in range(k) for j in range(i + 1, k)
-        if i in wanted or j in wanted
-    }
+    g = unembeddings.vectors
+    scaled, exact_scale = _rescaled(g)
+    clear = _clear_vertices(scaled)
+    inside: dict[int, str] = {}
+
+    def inside_proof(m: int) -> str:
+        if m not in inside:
+            inside[m] = "" if clear[m] else _inside_proof(
+                unembeddings, m, scaled, exact_scale)
+        return inside[m]
+
+    graph = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if i not in wanted and j not in wanted:
+                continue
+            # a label of `rows` first: its proof settles all of its pairs
+            first, second = (i, j) if i in wanted else (j, i)
+            proof = inside_proof(first) or inside_proof(second)
+            if proof and not np.array_equal(g[i], g[j]):
+                graph[i, j] = FeasibilityReport(
+                    i, j, "infeasible", 0.0, eps, None, "optimal", proof
+                )
+            else:
+                graph[i, j] = coargmax_feasible(unembeddings, i, j, eps=eps)
+    return graph
 
 
 def tie_partners(

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSolution", "solve", "coargmax_lp", "PIVOT_TOL"]
+__all__ = [
+    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "hull_lp", "PIVOT_TOL",
+]
 
 PIVOT_TOL = 1e-9
 PHASE1_TOL = 1e-7
@@ -365,3 +367,24 @@ def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
     b_eq = np.append(g[i], 1.0)
     lower = np.append(np.zeros(k - 2), -np.inf)
     return LinearProgram(np.zeros(k - 1), a_eq, b_eq, lower=lower)
+
+
+def hull_lp(unembeddings, i: int) -> LinearProgram:
+    """Phase-1 LP asking whether label i lies in the convex hull of the
+    other labels: weights mu_k >= 0 on every other label k (in index
+    order) with
+
+        sum_k mu_k g_k = g_i,    sum_k mu_k = 1,
+
+    on the model divided by 2**pow2_exponent(g), as in coargmax_lp.  It is
+    coargmax_lp's system without the s column.  When it is feasible, label
+    i wins nowhere and can tie with no label whose vector differs from
+    g_i."""
+    g = unembeddings.vectors
+    k = g.shape[0]
+    if not 0 <= i < k:
+        raise IndexError(f"label index {i} out of range for k={k}")
+    g = np.ldexp(g, -pow2_exponent(g))
+    a_eq = np.vstack([np.delete(g, i, axis=0).T, np.ones(k - 1)])
+    b_eq = np.append(g[i], 1.0)
+    return LinearProgram(np.zeros(k - 1), a_eq, b_eq, lower=np.zeros(k - 1))

@@ -1,6 +1,10 @@
 """CLI subcommands, driven in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,19 @@ class TestTies:
         assert pair_01["verdict"] == "infeasible"
         assert pair_01["oracle"] is False
 
+    def test_duplicate_labels_in_2d_exit_0(self, tmp_path):
+        # a and b are the same vector: the exact oracle decides the pair
+        # from the open half-plane test instead of raising
+        path = tmp_path / "duplicate.csv"
+        path.write_text("label,dim_0,dim_1\na,1,2\nb,1,2\nc,0,-1\n")
+        report_path = str(tmp_path / "ties.json")
+        assert main(["ties", "--input", str(path), "--all",
+                     "--output", report_path]) == 0
+        pairs = {(p["i"], p["j"]): (p["verdict"], p["oracle"])
+                 for p in load_report(report_path)["feasibility"]["pairs"]}
+        assert pairs == {(0, 1): ("feasible", True), (0, 2): ("infeasible", False),
+                         (1, 2): ("infeasible", False)}
+
     def test_witnesses_recorded_for_feasible_pairs(self, data_dir, tmp_path):
         report_path = str(tmp_path / "ties.json")
         main(["ties", "--input", _model_path(data_dir, "centered"),
@@ -379,6 +396,17 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "similarity" in capsys.readouterr().out
+
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "unembed.cli", "ties", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: unembed ties")
 
     def test_lp_oracle_disagreement_exits_4(self, tmp_path, capsys,
                                            monkeypatch):

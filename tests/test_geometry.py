@@ -26,6 +26,7 @@ from unembed import (
     tie_partners,
     translate,
 )
+from unembed import geometry
 from unembed.geometry import (
     _exact_phase1,
     _no_tie_filter,
@@ -34,7 +35,7 @@ from unembed.geometry import (
     _tie_filter,
     _tie_fraction,
 )
-from unembed.lp import coargmax_lp, solve
+from unembed.lp import coargmax_lp, hull_lp, solve
 from oracle_utils import coargmax_bruteforce, cosine_reference
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -400,10 +401,34 @@ class TestCoargmaxOracle2d:
         assert coargmax_oracle_2d(u, 2, 4) is False
         assert coargmax_oracle_2d(u, 2, 0) is False
 
-    def test_equal_vectors_rejected(self):
-        u = UnembeddingSet(("a", "b", "c"), [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(ZeroVectorError):
-            coargmax_oracle_2d(u, 0, 1)
+    # the other labels g_k - g_0, and whether the equal pair (0, 1) ties
+    EQUAL_PAIR_CASES = [
+        ([[0.0, 1.0]], True),
+        ([[1.0, 0.0], [2.0, 0.0]], True),  # one ray
+        ([[1.0, 0.0], [-1.0, 0.0]], False),  # opposite rays
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 1e-300]], True),  # just under pi
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], False),  # exactly pi
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], False),  # around g_0
+        ([[1.0, 0.0], [0.0, 0.0]], False),  # a third copy of g_0
+    ]
+
+    def test_equal_vectors_decided(self):
+        # g_0 = g_1: any f may do, so the pair ties iff every other
+        # g_k - g_0 is nonzero and in one open half-plane
+        for rest, ties in self.EQUAL_PAIR_CASES:
+            g = np.array([[0.0, 0.0], [0.0, 0.0]] + rest)
+            assert coargmax_oracle_2d(_labelled(g), 0, 1) is ties, rest
+            assert (_exact_phase1(g, 0, 1) is not None) == ties, rest
+
+    def test_equal_vectors_match_exact_phase1(self):
+        # small integers make duplicates and collinear rays common
+        rng = np.random.default_rng(6)
+        for _ in range(150):
+            k = int(rng.integers(3, 7))
+            g = rng.integers(-2, 3, size=(k, 2)).astype(float)
+            g[1] = g[0]
+            assert coargmax_oracle_2d(_labelled(g), 0, 1) == (
+                _exact_phase1(g, 0, 1) is not None), g
 
     def test_wrong_dimension_rejected(self):
         u = UnembeddingSet(("a", "b"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -527,6 +552,134 @@ class TestTiePartners:
         assert list(tie_graph(u, rows=[2])) == [(0, 2), (1, 2), (2, 3), (2, 4)]
         with pytest.raises(IndexError):
             tie_graph(u, rows=[5])
+
+
+def _labelled(g) -> UnembeddingSet:
+    g = np.asarray(g, dtype=np.float64)
+    return UnembeddingSet(tuple(f"l{m}" for m in range(len(g))), g)
+
+
+def _same_report(rep, ref) -> bool:
+    witness_equal = (rep.witness is None and ref.witness is None) or (
+        rep.witness is not None and ref.witness is not None
+        and np.array_equal(rep.witness, ref.witness))
+    return ((rep.i, rep.j, rep.verdict, rep.margin) == (ref.i, ref.j, ref.verdict, ref.margin)
+            and witness_equal)
+
+
+def _counting_pair_decider(monkeypatch):
+    """Route tie_graph's pair LPs through a counter; returns the list of
+    pairs they decided."""
+    decided = []
+    pair_lp = geometry.coargmax_feasible
+
+    def counted(u, i, j, eps):
+        decided.append((i, j))
+        return pair_lp(u, i, j, eps=eps)
+
+    monkeypatch.setattr(geometry, "coargmax_feasible", counted)
+    return decided
+
+
+class TestHullPruning:
+    """tie_graph settles every pair of a proven interior label from one
+    certificate; each report must equal a direct coargmax_feasible."""
+
+    @staticmethod
+    def _assert_matches_pairwise(u, rows=None):
+        graph = tie_graph(u, rows=rows)
+        for (i, j), rep in graph.items():
+            assert _same_report(rep, coargmax_feasible(u, i, j)), (i, j)
+            assert rep.proof in ("float", "fraction", "exact")
+        return graph
+
+    @pytest.mark.parametrize("d, k", [(2, 32), (3, 30)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gaussian_models(self, d, k, seed, monkeypatch):
+        u = _labelled(np.random.default_rng([seed, d]).standard_normal((k, d)))
+        decided = _counting_pair_decider(monkeypatch)
+        graph = self._assert_matches_pairwise(u)
+        assert len(decided) < len(graph) / 2  # most labels are interior
+
+    def test_interior_label_on_an_edge(self):
+        # l3 is the midpoint of hull edge l0 l1, l4 is strictly inside:
+        # l0 and l1 cannot tie, and neither l3 nor l4 ties with anyone
+        u = _labelled([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [2.0, 0.0], [1.0, 1.0]])
+        graph = self._assert_matches_pairwise(u)
+        assert {p for p, rep in graph.items() if rep.verdict != "infeasible"} == {
+            (0, 2), (1, 2)}
+
+    def test_barely_outside_label_is_not_pruned(self):
+        # l4 = (1, 1e-9) is a hull vertex, but phase 1 of its hull LP ends
+        # feasible within tolerance: the weights must fail the proof, so
+        # the degenerate ties (0, 4) and (2, 4) survive
+        u = _labelled([[0.0, -1.0], [0.0, -2.0], [2.0, 0.0], [1.0, 0.0],
+                       [1.0, 1e-9]])
+        assert solve(hull_lp(u, 4)).status == "optimal"
+        graph = self._assert_matches_pairwise(u)
+        assert graph[0, 4].verdict == graph[2, 4].verdict == "degenerate"
+
+    def test_duplicates(self):
+        # a duplicated vertex (2, 5), a duplicated interior label (1, 7)
+        g = np.random.default_rng(3).standard_normal((8, 3))
+        g[5], g[7] = g[2], g[1]
+        self._assert_matches_pairwise(_labelled(g))
+        g2 = np.random.default_rng(4).standard_normal((9, 2))
+        g2[[3, 6]] = g2[0]
+        self._assert_matches_pairwise(_labelled(g2))
+
+    @pytest.mark.parametrize("g", [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 2.0], [1.0, 2.0]],
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+        [[1.0, 2.0], [1.0, 2.0], [0.0, -1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    def test_two_and_three_labels(self, g):
+        self._assert_matches_pairwise(_labelled(g))
+
+    def test_rows_subset(self):
+        u = _labelled(np.random.default_rng(7).standard_normal((16, 2)))
+        full = tie_graph(u)
+        for i in range(u.k):
+            graph = self._assert_matches_pairwise(u, rows=[i])
+            assert list(graph) == [p for p in full if i in p]
+
+    def test_unproven_inside_certificates_prune_nothing(self, monkeypatch):
+        u = _labelled(np.random.default_rng(5).standard_normal((20, 2)))
+        expected = tie_graph(u)
+        # the inside certificate is the pair system with i = j; fail only it
+        for name in ("_no_tie_filter", "_no_tie_fraction"):
+            check = getattr(geometry, name)
+            monkeypatch.setattr(
+                geometry, name,
+                lambda g, i, j, x, check=check: i != j and check(g, i, j, x))
+        decided = _counting_pair_decider(monkeypatch)
+        graph = tie_graph(u)
+        assert decided == list(expected)  # every pair LP-decided
+        assert all(_same_report(graph[p], rep) for p, rep in expected.items())
+
+    @given(arrays(np.float64, st.tuples(st.integers(2, 7), st.integers(2, 3)),
+                  elements=coord),
+           st.integers(0, 2**32 - 1))
+    @example(np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, 0.0],
+                       [1.0, 2.0], [1.0, 0.5]]), 11)  # three equal rows
+    @example(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [2.0, 0.0],
+                       [1.0, 1.0]]), 3)  # l3: midpoint of the edge l0 l1
+    @settings(max_examples=60, deadline=None)
+    def test_label_permutation(self, g, seed):
+        # relabelling the model permutes its tie graph: row m of the
+        # permuted model is row perm[m] of the original
+        k = g.shape[0]
+        perm = np.random.default_rng(seed).permutation(k)
+        graph = tie_graph(_labelled(g))
+        permuted = tie_graph(_labelled(g[perm]))
+        for (a, b), rep in permuted.items():
+            i, j = sorted((int(perm[a]), int(perm[b])))
+            ref = graph[i, j]
+            assert (rep.verdict == "infeasible") == (ref.verdict == "infeasible"), (a, b)
+            if rep.verdict == "infeasible":
+                assert (rep.margin, rep.witness) == (0.0, None)
 
 
 class TestInflatedBounds:

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from unembed import LinearProgram, UnembeddingSet, coargmax_lp
-from unembed.lp import PIVOT_TOL, _standard_form, solve
+from unembed.lp import PIVOT_TOL, _standard_form, hull_lp, solve
 
 
 def _scipy_solve(lp: LinearProgram):
@@ -301,3 +301,32 @@ class TestCoargmaxLp:
                     assert ref.status in (0, 2)  # optimal or infeasible
                     assert sol.status == ("optimal" if ref.status == 0
                                           else "infeasible")
+
+
+class TestHullLp:
+    def test_program_shape(self, centered):
+        u = centered.model.unembeddings
+        lp = hull_lp(u, 2)
+        assert lp.n == u.k - 1  # weights on every other label, no s
+        assert lp.a_eq.shape == (u.d + 1, u.k - 1)
+        assert np.all(lp.objective == 0.0) and np.all(lp.lower == 0.0)
+        # the same power-of-two rescale as coargmax_lp (max |g| = 1.4)
+        np.testing.assert_array_equal(lp.b_eq, np.append(u.vector(2) / 2, 1.0))
+        np.testing.assert_array_equal(lp.a_eq[:2, 2], u.vector(3) / 2)
+
+    def test_index_validated(self, centered):
+        with pytest.raises(IndexError):
+            hull_lp(centered.model.unembeddings, 5)
+
+    def test_statuses_match_scipy(self, rng):
+        # feasible exactly when the label lies in the hull of the others
+        for _ in range(20):
+            k, d = int(rng.integers(3, 12)), int(rng.integers(2, 4))
+            g = rng.standard_normal((k, d))
+            u = UnembeddingSet(tuple(f"l{m}" for m in range(k)), g)
+            for i in range(k):
+                lp = hull_lp(u, i)
+                ref = _scipy_solve(lp)
+                assert ref.status in (0, 2)
+                assert solve(lp).status == ("optimal" if ref.status == 0
+                                            else "infeasible")

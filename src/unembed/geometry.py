@@ -10,8 +10,9 @@ dimension through the (d+1)-row phase-1 LP of `coargmax_lp`, and proves
 the certificate that phase 1 ends with (a tie witness, or labels whose mix
 lies on the line through g_i and g_j) in floats with an error bound, in
 Fractions, or by an exact rational phase 1.  `tie_graph` decides every
-unordered pair once, and settles all pairs of a label proven to lie inside
-the convex hull of the others from that one proof.  `coargmax_oracle_2d`
+unordered pair once, settles all pairs of a label proven to lie inside the
+convex hull of the others from that one proof, and runs the float phase 1
+of all the other pairs as stacks (`coargmax_phase1`).  `coargmax_oracle_2d`
 answers exactly in two dimensions: there f is confined to the line
 orthogonal to g_i - g_j, so it suffices to test the two directions of that
 line, each sign by an exact orientation predicate.
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .lp import coargmax_lp, hull_lp, pow2_exponent, solve
+from .lp import coargmax_phase1, hull_lp, pow2_exponent, solve
 from .model import SoftmaxModel, UnembeddingSet, as_label_vector
 
 __all__ = [
@@ -395,39 +396,18 @@ def _prove(g, i, j, sol, filters: bool):
     return [float(v / top) for v in f], "exact"
 
 
-def coargmax_feasible(
-    unembeddings: UnembeddingSet,
-    i: int,
-    j: int,
-    eps: float = DEFAULT_EPS,
-    strict: bool = True,
-) -> FeasibilityReport:
-    """Decide tie feasibility for labels i and j, with a checked proof.
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
 
-    One float phase 1 of coargmax_lp (for the pair in index order, so both
-    orders get the same report) yields a certificate either way: duals
-    whose direction is a tie witness, or weights on at most d + 1 labels
-    whose mix lies on the line through g_i and g_j.  It is proven by an
-    error-bounded float filter, else in Fractions, else an exact rational
-    phase 1 decides the pair from scratch.  Finite input always gets a
-    proven verdict.
 
-    strict=False accepts a tie at the top shared with other labels; f = 0
-    ties every label, so every pair passes that weak test.
-    """
-    if i == j:
-        raise ValueError("need two distinct label indices")
+def _report(unembeddings, scaled, exact_scale: bool, i: int, j: int,
+            eps: float, sol) -> FeasibilityReport:
+    """The proven report of pair (i, j) from `sol`, the float phase 1 of
+    coargmax_lp for the pair in index order."""
     lo, hi = min(i, j), max(i, j)
-    lp = coargmax_lp(unembeddings, lo, hi)
-    if not strict:
-        return FeasibilityReport(
-            i, j, "feasible", 0.0, eps, np.zeros(unembeddings.d), "optimal",
-            "exact",
-        )
-    sol = solve(lp)
-    g = unembeddings.vectors
-    scaled, exact_scale = _rescaled(g)
-    f, proof = _prove(scaled if exact_scale else g, lo, hi, sol, exact_scale)
+    g = scaled if exact_scale else unembeddings.vectors
+    f, proof = _prove(g, lo, hi, sol, exact_scale)
     if f is None:
         return FeasibilityReport(
             i, j, "infeasible", 0.0, eps, None, sol.status, proof
@@ -437,6 +417,30 @@ def coargmax_feasible(
     return FeasibilityReport(
         i, j, verdict, margin, eps, witness, sol.status, proof
     )
+
+
+def coargmax_feasible(
+    unembeddings: UnembeddingSet,
+    i: int,
+    j: int,
+    eps: float = DEFAULT_EPS,
+) -> FeasibilityReport:
+    """Decide tie feasibility for labels i and j, with a checked proof.
+
+    One float phase 1 of coargmax_lp (for the pair in index order, so both
+    orders get the same report) yields a certificate either way: duals
+    whose direction is a tie witness, or weights on at most d + 1 labels
+    whose mix lies on the line through g_i and g_j.  It is proven by an
+    error-bounded float filter, else in Fractions, else an exact rational
+    phase 1 decides the pair from scratch.  Finite input always gets a
+    proven verdict.  eps must be finite and >= 0.
+    """
+    if i == j:
+        raise ValueError("need two distinct label indices")
+    _check_eps(eps)
+    (sol,) = coargmax_phase1(unembeddings, [(min(i, j), max(i, j))])
+    scaled, exact_scale = _rescaled(unembeddings.vectors)
+    return _report(unembeddings, scaled, exact_scale, i, j, eps, sol)
 
 
 def _orient2d_signs(a, b, c) -> np.ndarray:
@@ -538,7 +542,9 @@ def tie_graph(
     skip j, their mix g_i is on the line through g_i and g_j; if they give
     j weight lam < 1, (g_i - lam g_j) / (1 - lam) is a mix of the rest on
     that line.  Such a pair is reported with the proof path of label i's
-    certificate.  Every other pair goes to coargmax_feasible."""
+    certificate.  Every other pair is decided like coargmax_feasible
+    decides it, from one coargmax_phase1 call for all of them."""
+    _check_eps(eps)
     k = unembeddings.k
     wanted = set(range(k) if rows is None else rows)
     for i in wanted:
@@ -556,6 +562,7 @@ def tie_graph(
         return inside[m]
 
     graph = {}
+    todo = []
     for i in range(k):
         for j in range(i + 1, k):
             if i not in wanted and j not in wanted:
@@ -568,7 +575,10 @@ def tie_graph(
                     i, j, "infeasible", 0.0, eps, None, "optimal", proof
                 )
             else:
-                graph[i, j] = coargmax_feasible(unembeddings, i, j, eps=eps)
+                graph[i, j] = None  # keeps the key order
+                todo.append((i, j))
+    for (i, j), sol in zip(todo, coargmax_phase1(unembeddings, todo)):
+        graph[i, j] = _report(unembeddings, scaled, exact_scale, i, j, eps, sol)
     return graph
 
 

@@ -24,6 +24,13 @@ two-phase tableau method:
 When phase 1 proves the constraints infeasible, the solution carries the
 phase-1 duals, a Farkas certificate.  The pivot sequence is a pure function
 of the input, so identical problems produce bit-identical solutions.
+
+The pair systems of coargmax_lp are decided as stacks: coargmax_phase1
+builds the tableaus of many pairs of one model at once and pivots them
+together, each under the rules above on its own, so every solution is
+bit-identical to solve(coargmax_lp(...)) and so are the reports built on
+it.  A stack holds a fixed budget of tableau bytes (_STACK_BYTES), so the
+memory it takes does not grow with the number of pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "hull_lp", "PIVOT_TOL",
+    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "coargmax_phase1",
+    "hull_lp", "PIVOT_TOL",
 ]
 
 PIVOT_TOL = 1e-9
@@ -134,6 +142,16 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
     t[row, col] = 1.0
 
 
+def _bland_after(rows: int, cols: int) -> int:
+    """Degenerate pivots of one phase after which pricing turns to Bland."""
+    return 2 * (rows + cols)
+
+
+def _iteration_cap(rows: int, cols: int) -> int:
+    """The default iteration cap of a solve, both phases together."""
+    return 10 * (rows + cols) ** 2
+
+
 def _run_phase(t, basis, cost, allowed, max_iter, iteration_start):
     """Minimize cost over the current tableau.  Returns (outcome, iterations)
     where outcome is 'optimal', 'unbounded', or 'cap'."""
@@ -142,7 +160,7 @@ def _run_phase(t, basis, cost, allowed, max_iter, iteration_start):
     # reduced-cost row
     t[m, :ncols] = cost - cost[basis] @ t[:m, :ncols]
     t[m, ncols] = -(cost[basis] @ t[:m, ncols])
-    bland_after = 2 * (m + ncols)
+    bland_after = _bland_after(m, ncols)
     degenerate_pivots = 0
     iterations = iteration_start
     while True:
@@ -172,18 +190,24 @@ def _run_phase(t, basis, cost, allowed, max_iter, iteration_start):
         iterations += 1
 
 
-def _standard_form(lp: LinearProgram):
-    """(mat, rhs, offset, first, free) with x = offset + xhat[first], minus
-    xhat[first + 1] for a free variable (split into a nonnegative pair).
-    The columns of mat are the structural ones, one surplus per >= row,
-    then one slack per finite upper bound; its rows are the a_eq rows, the
-    a_ge rows, then one bound row per finite upper bound."""
-    me, mi = lp.a_eq.shape[0], lp.a_ge.shape[0]
+def _columns(lp: LinearProgram):
+    """(offset, first, free): x = offset + xhat[first], minus
+    xhat[first + 1] for a free variable (split into a nonnegative pair)."""
     free = ~np.isfinite(lp.lower)
     offset = np.where(free, 0.0, lp.lower)
     width = np.where(free, 2, 1)
     first = np.cumsum(width) - width  # first standard-form column per variable
-    ncols = int(width.sum())
+    return offset, first, free
+
+
+def _standard_form(lp: LinearProgram):
+    """(mat, rhs, offset, first, free), with offset, first and free as in
+    _columns.  The columns of mat are the structural ones, one surplus per
+    >= row, then one slack per finite upper bound; its rows are the a_eq
+    rows, the a_ge rows, then one bound row per finite upper bound."""
+    me, mi = lp.a_eq.shape[0], lp.a_ge.shape[0]
+    offset, first, free = _columns(lp)
+    ncols = first.size + int(free.sum())
     bounded = np.flatnonzero(np.isfinite(lp.upper))
     nb = bounded.size
 
@@ -211,7 +235,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve a LinearProgram; see the module docstring for the algorithm."""
     me = lp.a_eq.shape[0]
     mi = lp.a_ge.shape[0]
-    mat, rhs, offset, first, free = _standard_form(lp)
+    mat, rhs, _, _, _ = _standard_form(lp)
     m, ncols_all = mat.shape
     nb = m - me - mi
     ncols = ncols_all - mi - nb  # structural columns
@@ -240,49 +264,63 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     unit_cols = basis.copy()  # the identity block the tableau started from
 
     if max_iterations is None:
-        max_iterations = 10 * (m + total_cols) ** 2
+        max_iterations = _iteration_cap(m, total_cols)
     iterations = 0
-
-    structural = np.zeros(total_cols, dtype=bool)
-    structural[:ncols_all] = True
 
     if n_art:
         cost1 = np.zeros(total_cols)
         cost1[ncols_all:] = 1.0
+        structural = np.arange(total_cols) < ncols_all
         outcome, iterations = _run_phase(
-            tab, basis, cost1, structural.copy(), max_iterations, iterations
+            tab, basis, cost1, structural, max_iterations, iterations
         )
-        if outcome == "cap":
-            return LpSolution("indeterminate", None, None, iterations)
-        if outcome == "unbounded":  # cannot happen for a sum of nonnegatives
+        # "cap", or "unbounded", which a sum of nonnegatives never is
+        if outcome != "optimal":
             return LpSolution("indeterminate", None, None, iterations)
         if -tab[m, total_cols] > PHASE1_TOL:
-            # y = c_B B^-1 is the starting unit columns' cost minus their
-            # reduced cost; negated rows flip back to original orientation
-            duals = cost1[unit_cols] - tab[m, unit_cols]
-            duals[neg] *= -1.0
-            duals.setflags(write=False)
-            return LpSolution("infeasible", None, None, iterations, duals)
-        # drive leftover artificials out of the basis; drop redundant rows
-        drop: list[int] = []
-        for row in range(m):
-            if basis[row] < ncols_all:
-                continue
-            candidates = np.flatnonzero(
-                structural & (np.abs(tab[row, :total_cols]) > PIVOT_TOL)
-            )
-            if candidates.size:
-                _pivot(tab, row, int(candidates[0]))
-                basis[row] = int(candidates[0])
-            else:
-                drop.append(row)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), np.asarray(drop))
-            tab = np.vstack([tab[keep], tab[m:]])
-            basis = basis[keep]
-            m = basis.shape[0]
+            return _farkas(cost1[unit_cols], tab[m, unit_cols], neg, iterations)
+    return _finish(lp, tab, basis, ncols_all, max_iterations, iterations)
+
+
+def _farkas(unit_cost, unit_reduced, neg, iterations) -> LpSolution:
+    """The infeasible verdict of a phase 1 that ended with a positive sum
+    of artificials.  y = c_B B^-1 is the starting unit columns' cost minus
+    their reduced cost; negated rows flip back to original orientation."""
+    duals = unit_cost - unit_reduced
+    duals[neg] *= -1.0
+    duals.setflags(write=False)
+    return LpSolution("infeasible", None, None, iterations, duals)
+
+
+def _finish(lp: LinearProgram, tab, basis, ncols_all: int,
+            max_iterations: int, iterations: int) -> LpSolution:
+    """The tail of a solve whose phase 1 ended feasible (or was not
+    needed): drive leftover artificials (the columns from ncols_all on) out
+    of the basis, dropping redundant rows, run phase 2 on the structural
+    columns, and check the residuals of the vertex found."""
+    m = basis.shape[0]
+    total_cols = tab.shape[1] - 1
+    structural = np.arange(total_cols) < ncols_all
+    drop: list[int] = []
+    for row in range(m):
+        if basis[row] < ncols_all:
+            continue
+        candidates = np.flatnonzero(
+            structural & (np.abs(tab[row, :total_cols]) > PIVOT_TOL)
+        )
+        if candidates.size:
+            _pivot(tab, row, int(candidates[0]))
+            basis[row] = int(candidates[0])
+        else:
+            drop.append(row)
+    if drop:
+        keep = np.setdiff1d(np.arange(m), np.asarray(drop))
+        tab = np.vstack([tab[keep], tab[m:]])
+        basis = basis[keep]
+        m = basis.shape[0]
 
     # phase 2: minimize the negated objective over structural columns
+    offset, first, free = _columns(lp)
     cost2 = np.zeros(total_cols)
     cost2[first] += -lp.objective
     cost2[first[free] + 1] += lp.objective[free]
@@ -300,6 +338,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     x[free] += -1.0 * xhat[first[free] + 1]
 
     # defensive residual check: downgrade rather than return a bad vertex
+    me, mi = lp.a_eq.shape[0], lp.a_ge.shape[0]
     scale = 1.0 + max(
         float(np.abs(lp.b_eq).max()) if me else 0.0,
         float(np.abs(lp.b_ge).max()) if mi else 0.0,
@@ -353,12 +392,21 @@ def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
     translation of the labels, so no centring is needed.
     """
     g = unembeddings.vectors
+    _check_pairs(g.shape[0], [(i, j)])
+    return _coargmax_system(np.ldexp(g, -pow2_exponent(g)), i, j)
+
+
+def _check_pairs(k: int, pairs) -> None:
+    for i, j in pairs:
+        if i == j:
+            raise ValueError("need two distinct label indices")
+        if not (0 <= i < k and 0 <= j < k):
+            raise IndexError(f"label indices ({i}, {j}) out of range for k={k}")
+
+
+def _coargmax_system(g, i: int, j: int) -> LinearProgram:
+    """coargmax_lp's system on the rescaled model g."""
     k, d = g.shape
-    if i == j:
-        raise ValueError("need two distinct label indices")
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError(f"label indices ({i}, {j}) out of range for k={k}")
-    g = np.ldexp(g, -pow2_exponent(g))
     others = [m for m in range(k) if m not in (i, j)]
     a_eq = np.zeros((d + 1, k - 1))
     a_eq[:d, :-1] = g[others].T
@@ -367,6 +415,140 @@ def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
     b_eq = np.append(g[i], 1.0)
     lower = np.append(np.zeros(k - 2), -np.inf)
     return LinearProgram(np.zeros(k - 1), a_eq, b_eq, lower=lower)
+
+
+# Bytes of pair tableaus that coargmax_phase1 pivots together (at least
+# one tableau per stack); one scratch buffer of the same size serves every
+# pivot of every stack.
+_STACK_BYTES = 256 * 1024
+
+
+def coargmax_phase1(unembeddings, pairs) -> list[LpSolution]:
+    """solve(coargmax_lp(unembeddings, i, j)) for every pair (i, j) of
+    label indices in `pairs`, in order and bit for bit, with the phase 1
+    of many pairs pivoted together.
+
+    The tableaus of the pairs are built straight from the rescaled model
+    and stacked, _STACK_BYTES at a time.  Each pivot step of a stack
+    applies solve's rules to every tableau on its own: Dantzig pricing
+    with ties to the lowest column, the ratio test with ties to the lowest
+    basic index, Bland's rule after too many degenerate pivots of that
+    tableau, and the iteration cap.  A tableau leaves the stack when its
+    phase 1 ends; one that ends feasible finishes through solve's own
+    tail (drive-out, phase 2 and residual check)."""
+    g = unembeddings.vectors
+    k, d = g.shape
+    pairs = [(int(i), int(j)) for i, j in pairs]
+    _check_pairs(k, pairs)
+    g = np.ldexp(g, -pow2_exponent(g))
+    shape = (d + 2, k + d + 2)  # one tableau: d + 1 rows and the cost row
+    per_stack = max(1, _STACK_BYTES // (8 * shape[0] * shape[1]))
+    scratch = np.empty((min(per_stack, len(pairs)), *shape))
+    out: list[LpSolution] = []
+    for start in range(0, len(pairs), per_stack):
+        out += _phase1_stack(g, pairs[start:start + per_stack], scratch)
+    return out
+
+
+def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
+    """coargmax_phase1 for one stack of pairs of the rescaled model g.
+    The live tableaus are always t[:live]; one whose phase 1 ends swaps
+    with the last live one."""
+    k, d = g.shape
+    n, m = len(pairs), d + 1
+    i, j = np.array(pairs).T
+    # solve's tableau of coargmax_lp: k structural columns (the other
+    # labels, s+ and s-), one artificial per row, the rhs; rows with a
+    # negative rhs negated; the cost row last
+    total = k + m
+    t = np.zeros((n, m + 1, total + 1))
+    rest = np.arange(k - 2)
+    others = (rest + (rest >= np.minimum(i, j)[:, None])
+              + (rest >= np.maximum(i, j)[:, None] - 1))
+    t[:, :d, :k - 2] = g[others].transpose(0, 2, 1)
+    t[:, d, :k - 2] = 1.0
+    t[:, :d, k - 2] = g[i] - g[j]
+    t[:, :d, k - 1] = -t[:, :d, k - 2]
+    t[:, :d, total] = g[i]
+    t[:, d, total] = 1.0
+    neg = t[:, :m, total] < 0.0
+    flip = np.where(neg, -1.0, 1.0)
+    t[:, :m, :k] *= flip[:, :, None]
+    t[:, :m, total] *= flip
+    t[:, np.arange(m), k + np.arange(m)] = 1.0
+    basis = np.broadcast_to(k + np.arange(m), (n, m)).copy()
+
+    # phase 1 as in _run_phase, with cost 1 on the artificials.  The
+    # stacked matmul makes the BLAS call of _run_phase's cost[basis] @ t
+    # once per tableau, so the sums round alike.
+    ones = np.ones((n, 1, m))  # cost[basis] of the artificial start
+    cost = np.where(np.arange(total) < k, 0.0, 1.0)
+    t[:, m, :total] = cost - (ones @ t[:, :m, :total])[:, 0]
+    t[:, m, total] = -(ones @ t[:, :m, total:])[:, 0, 0]
+    bland_after = _bland_after(m, total)
+    max_iterations = _iteration_cap(m, total)
+    degenerate = np.zeros(n, dtype=np.int64)
+    lp_of = np.arange(n)  # the pair each slot of the stack holds
+    slots = np.arange(n)
+    out: list = [None] * n
+    live, iterations = n, 0
+    # the ratios over pivot-column entries <= PIVOT_TOL are masked out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while live:
+            if iterations >= max_iterations:
+                for s in range(live):
+                    out[lp_of[s]] = LpSolution("indeterminate", None, None,
+                                               iterations)
+                break
+            tl, at = t[:live], slots[:live]
+            reduced = tl[:, m, :k]
+            eligible = reduced < -PIVOT_TOL
+            col = np.where(eligible, reduced, np.inf).argmin(axis=1)
+            if iterations > bland_after:  # else no count can exceed it
+                bland = degenerate[:live] > bland_after
+                col = np.where(bland, eligible.argmax(axis=1), col)
+            pivot_col = tl[at, :m, col]
+            positive = pivot_col > PIVOT_TOL
+            ratios = np.where(positive, tl[:, :m, total] / pivot_col, np.inf)
+            best = ratios.min(axis=1, keepdims=True)
+            tied = ratios <= best + PIVOT_TOL * (1.0 + np.abs(best))
+            row = np.where(tied, basis[:live], total).argmin(axis=1)
+            piv, step = pivot_col[at, row], ratios[at, row]
+
+            # a tableau whose phase 1 ended swaps with the last live one
+            ended = np.flatnonzero(~(eligible.any(axis=1) & positive.any(axis=1)))
+            for s in ended[::-1]:
+                if eligible[s].any():  # unbounded: not for a sum of >= 0
+                    sol = LpSolution("indeterminate", None, None, iterations)
+                elif -t[s, m, total] > PHASE1_TOL:
+                    sol = _farkas(1.0, t[s, m, k:total], neg[s], iterations)
+                else:
+                    sol = _finish(_coargmax_system(g, *pairs[lp_of[s]]),
+                                  t[s].copy(), basis[s].copy(), k,
+                                  max_iterations, iterations)
+                out[lp_of[s]] = sol
+                live -= 1
+                for state in (t, basis, neg, degenerate, lp_of, col, row,
+                              piv, step):
+                    state[s] = state[live]
+            if not live:
+                break
+
+            # one pivot of every live tableau, in _pivot's order of operations
+            tl, at, col, row = t[:live], slots[:live], col[:live], row[:live]
+            degenerate[:live] += step[:live] <= PIVOT_TOL
+            factors = tl[at, :, col]
+            factors[at, row] = 0.0
+            pivot_row = tl[at, row] / piv[:live, None]
+            tl[at, row] = pivot_row
+            work = scratch[:live]
+            np.multiply(factors[:, :, None], pivot_row[:, None, :], out=work)
+            tl -= work
+            tl[at, :, col] = 0.0
+            tl[at, row, col] = 1.0
+            basis[at, row] = col
+            iterations += 1
+    return out
 
 
 def hull_lp(unembeddings, i: int) -> LinearProgram:

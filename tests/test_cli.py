@@ -178,6 +178,14 @@ class TestTies:
     def test_missing_selector_exits_3(self, data_dir):
         assert main(["ties", "--input", _model_path(data_dir, "centered")]) == 3
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_exits_3(self, data_dir, tmp_path, capsys, eps):
+        report_path = tmp_path / "ties.json"
+        assert main(["ties", "--input", _model_path(data_dir, "centered"),
+                     "--all", f"--eps={eps}", "--output", str(report_path)]) == 3
+        assert "eps must be finite and >= 0" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_bad_index_exits_3(self, data_dir):
         assert main(["ties", "--input", _model_path(data_dir, "centered"),
                      "--index", "11"]) == 3

@@ -286,19 +286,26 @@ class TestCoargmaxFeasible:
         with pytest.raises(ValueError):
             coargmax_feasible(centered.model.unembeddings, 1, 1)
 
-    def test_weak_variant_always_feasible(self, centered):
-        # f = 0 ties every label at the top, so the non-strict reading
-        # accepts every pair
-        u = centered.model.unembeddings
-        for i in range(u.k):
-            for j in range(u.k):
-                if i != j:
-                    assert coargmax_feasible(u, i, j, strict=False).feasible
-
     def test_two_label_model(self):
         u = UnembeddingSet(("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         rep = coargmax_feasible(u, 0, 1)
         assert rep.verdict == "feasible"
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"),
+                                     -1.0, -1e-300])
+    def test_bad_eps_rejected(self, centered, eps):
+        u = centered.model.unembeddings
+        with pytest.raises(ValueError, match="eps"):
+            coargmax_feasible(u, 2, 3, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            tie_graph(u, eps)
+        with pytest.raises(ValueError, match="eps"):
+            tie_partners(u, 2, eps)
+
+    def test_zero_eps_accepted(self, centered):
+        u = centered.model.unembeddings
+        assert coargmax_feasible(u, 2, 3, eps=0.0).verdict == "feasible"
+        assert tie_partners(u, 2, 0.0) == {1, 3}
 
 
 class TestCertificateChecks:
@@ -568,17 +575,17 @@ def _same_report(rep, ref) -> bool:
 
 
 def _counting_pair_decider(monkeypatch):
-    """Route tie_graph's pair LPs through a counter; returns the list of
-    pairs they decided."""
-    decided = []
-    pair_lp = geometry.coargmax_feasible
+    """Route the pair LPs of geometry through a counter; returns the list
+    of calls, each the list of pairs it decided (tie_graph makes one)."""
+    calls = []
+    phase1 = geometry.coargmax_phase1
 
-    def counted(u, i, j, eps):
-        decided.append((i, j))
-        return pair_lp(u, i, j, eps=eps)
+    def counted(u, pairs):
+        calls.append(list(pairs))
+        return phase1(u, pairs)
 
-    monkeypatch.setattr(geometry, "coargmax_feasible", counted)
-    return decided
+    monkeypatch.setattr(geometry, "coargmax_phase1", counted)
+    return calls
 
 
 class TestHullPruning:
@@ -597,9 +604,9 @@ class TestHullPruning:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gaussian_models(self, d, k, seed, monkeypatch):
         u = _labelled(np.random.default_rng([seed, d]).standard_normal((k, d)))
-        decided = _counting_pair_decider(monkeypatch)
+        calls = _counting_pair_decider(monkeypatch)
         graph = self._assert_matches_pairwise(u)
-        assert len(decided) < len(graph) / 2  # most labels are interior
+        assert len(calls[0]) < len(graph) / 2  # most labels are interior
 
     def test_interior_label_on_an_edge(self):
         # l3 is the midpoint of hull edge l0 l1, l4 is strictly inside:
@@ -654,9 +661,9 @@ class TestHullPruning:
             monkeypatch.setattr(
                 geometry, name,
                 lambda g, i, j, x, check=check: i != j and check(g, i, j, x))
-        decided = _counting_pair_decider(monkeypatch)
+        calls = _counting_pair_decider(monkeypatch)
         graph = tie_graph(u)
-        assert decided == list(expected)  # every pair LP-decided
+        assert calls == [list(expected)]  # every pair LP-decided
         assert all(_same_report(graph[p], rep) for p, rep in expected.items())
 
     @given(arrays(np.float64, st.tuples(st.integers(2, 7), st.integers(2, 3)),

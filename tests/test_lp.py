@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unembed import LinearProgram, UnembeddingSet, coargmax_lp
-from unembed.lp import PIVOT_TOL, _standard_form, hull_lp, solve
+from unembed import lp as lp_module
+from unembed.lp import PIVOT_TOL, _standard_form, coargmax_phase1, hull_lp, solve
 
 
 def _scipy_solve(lp: LinearProgram):
@@ -330,3 +334,148 @@ class TestHullLp:
                 assert ref.status in (0, 2)
                 assert solve(lp).status == ("optimal" if ref.status == 0
                                             else "infeasible")
+
+
+def _labelled(g):
+    g = np.asarray(g, dtype=np.float64)
+    return UnembeddingSet(tuple(f"l{m}" for m in range(g.shape[0])), g)
+
+
+def _bits(v):
+    """Exact bytes of an array or float (sign of zero included), or None."""
+    return None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _fingerprint(sol):
+    return (sol.status, sol.iterations, _bits(sol.x), _bits(sol.objective),
+            _bits(sol.duals))
+
+
+def _ordered_pairs(k):
+    return [(i, j) for i in range(k) for j in range(k) if i != j]
+
+
+def _assert_matches_solve(g, pairs=None):
+    """Every stacked solution equals solve(coargmax_lp(u, i, j)) bit for
+    bit: status, iterations, x, objective and duals."""
+    u = _labelled(g)
+    pairs = _ordered_pairs(u.k) if pairs is None else pairs
+    stacked = coargmax_phase1(u, pairs)
+    assert len(stacked) == len(pairs)
+    for (i, j), sol in zip(pairs, stacked):
+        assert _fingerprint(sol) == _fingerprint(solve(coargmax_lp(u, i, j))), (i, j)
+    return stacked
+
+
+def _rotated_subspace_model():
+    # twelve labels in a rotated 3-dimensional subspace of R^8
+    rng = np.random.default_rng(8)
+    basis, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    return rng.standard_normal((12, 3)) @ basis[:3]
+
+
+class TestCoargmaxPhase1:
+    """The stacked phase 1 must reproduce solve on every pair system."""
+
+    @pytest.mark.parametrize("d, k", [(2, 14), (3, 13), (8, 12), (16, 10)])
+    def test_gaussian_models(self, d, k):
+        g = np.random.default_rng([d, k]).standard_normal((k, d))
+        stacked = _assert_matches_solve(g)
+        assert {sol.status for sol in stacked} <= {"optimal", "infeasible"}
+
+    # (seed, model index, (d, k)): the models of perfbench/README.md's
+    # reproducer table
+    REPRODUCERS = [(1355062222, 9, (16, 22)), (1207187955, 1, (8, 24)),
+                   (1069673014, 0, (2, 32)), (1097127993, 10, (3, 30))]
+
+    @pytest.mark.parametrize("case", REPRODUCERS, ids=lambda c: str(c[0]))
+    def test_perfbench_reproducers(self, case):
+        seed, n, (d, k) = case
+        g = np.random.default_rng([seed, n]).standard_normal((k, d))
+        _assert_matches_solve(g, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+    @pytest.mark.parametrize("g", [
+        [[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]],  # exactly collinear
+        [[1.0, 0.0], [0.0, 1.0]],  # k = 2
+        [[1.0, 2.0], [1.0, 2.0]],
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],  # k = 3
+        [[1.0, 2.0], [1.0, 2.0], [0.0, -1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["collinear", "k2", "k2-equal", "k3-line", "k3-equal", "k3-3d"])
+    def test_small_and_collinear_models(self, g):
+        _assert_matches_solve(g)
+
+    def test_rotated_subspace(self):
+        _assert_matches_solve(_rotated_subspace_model())
+
+    def test_duplicate_rows(self):
+        g = np.random.default_rng(3).standard_normal((8, 3))
+        g[5], g[7] = g[2], g[1]
+        _assert_matches_solve(g)
+        g2 = np.random.default_rng(4).standard_normal((9, 2))
+        g2[[3, 6]] = g2[0]
+        _assert_matches_solve(g2)
+
+    def test_signed_zeros(self):
+        # labels in a coordinate subspace, some zeros negative
+        g = np.zeros((9, 4))
+        g[:, :2] = np.random.default_rng(9).standard_normal((9, 2))
+        g[::2, 2:] = -0.0
+        _assert_matches_solve(g)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_extreme_magnitudes(self, c):
+        g = np.random.default_rng(10).standard_normal((9, 3)) * c
+        _assert_matches_solve(g)
+
+    @pytest.mark.parametrize("per_stack", [1, 2, 3])
+    def test_stack_size_changes_nothing(self, per_stack, monkeypatch):
+        g = np.random.default_rng(11).standard_normal((9, 3))
+        u, pairs = _labelled(g), _ordered_pairs(9)
+        expected = [_fingerprint(sol) for sol in coargmax_phase1(u, pairs)]
+        tableau_bytes = 8 * (3 + 2) * (9 + 3 + 2)
+        monkeypatch.setattr(lp_module, "_STACK_BYTES", per_stack * tableau_bytes)
+        sizes = []
+        stack = lp_module._phase1_stack
+
+        def counted(g, pairs, scratch):
+            sizes.append(len(pairs))
+            return stack(g, pairs, scratch)
+
+        monkeypatch.setattr(lp_module, "_phase1_stack", counted)
+        assert [_fingerprint(sol) for sol in coargmax_phase1(u, pairs)] == expected
+        assert sizes == [per_stack] * (len(pairs) // per_stack) + (
+            [len(pairs) % per_stack] if len(pairs) % per_stack else [])
+
+    def test_bland_rule_matches(self, monkeypatch):
+        # Bland's rule from the first degenerate pivot on: the stack must
+        # switch per tableau exactly when solve does
+        g = np.random.default_rng(12).standard_normal((10, 3))
+        g[[4, 7]] = g[1]
+        g[9] = 0.0
+        u, pairs = _labelled(g), _ordered_pairs(10)
+        dantzig = [sol.iterations for sol in coargmax_phase1(u, pairs)]
+        monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)
+        bland = _assert_matches_solve(g)
+        assert [sol.iterations for sol in bland] != dantzig
+
+    def test_iteration_cap_matches(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_iteration_cap", lambda rows, cols: 3)
+        g = np.random.default_rng(13).standard_normal((12, 3))
+        stacked = _assert_matches_solve(g)
+        assert "indeterminate" in {sol.status for sol in stacked}
+
+    def test_pairs_validated(self, centered):
+        u = centered.model.unembeddings
+        assert coargmax_phase1(u, []) == []
+        with pytest.raises(ValueError):
+            coargmax_phase1(u, [(0, 1), (2, 2)])
+        with pytest.raises(IndexError):
+            coargmax_phase1(u, [(0, 5)])
+
+    @given(arrays(np.float64, st.tuples(st.integers(2, 8), st.integers(1, 4)),
+                  elements=st.floats(-10.0, 10.0, allow_nan=False,
+                                     allow_infinity=False)))
+    @settings(max_examples=40, deadline=None)
+    def test_random_models_property(self, g):
+        _assert_matches_solve(g)

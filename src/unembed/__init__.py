@@ -33,6 +33,7 @@ from .geometry import (
     SimilarityMatrix,
     coargmax_feasible,
     coargmax_oracle_2d,
+    coargmax_oracle_2d_pairs,
     cosine,
     decision_regions,
     dot,
@@ -102,6 +103,7 @@ __all__ = [
     "coargmax_feasible",
     "coargmax_lp",
     "coargmax_oracle_2d",
+    "coargmax_oracle_2d_pairs",
     "cosine",
     "cosine_forcing_translation",
     "decision_regions",

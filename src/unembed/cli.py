@@ -25,7 +25,7 @@ from .examples import (
 )
 from .geometry import (
     DEFAULT_EPS,
-    coargmax_oracle_2d,
+    coargmax_oracle_2d_pairs,
     cosine,
     decision_regions,
     inflated_bounds,
@@ -130,20 +130,22 @@ def _pair_entry(model: SoftmaxModel, rep, oracle: bool | None) -> dict:
     }
 
 
-def _check_pair_against_oracle(model: SoftmaxModel, rep) -> bool | None:
-    """Cross-check one proven verdict against the exact 2D oracle: a
-    feasible or degenerate pair must tie, an infeasible one must not.
-    Returns the oracle's answer (None when unavailable); raises on
-    disagreement."""
+def _check_against_oracle(model: SoftmaxModel, reps) -> list:
+    """Cross-check proven verdicts against the exact 2D oracle, all in one
+    call: a feasible or degenerate pair must tie, an infeasible one must
+    not.  Returns the oracle's answer per pair (None when unavailable);
+    raises on the first disagreement."""
     if model.d != 2:
-        return None
-    oracle = coargmax_oracle_2d(model.unembeddings, rep.i, rep.j)
-    if oracle != (rep.verdict != "infeasible"):
-        raise ConsistencyError(
-            f"pair ({rep.i}, {rep.j}): lp says {rep.verdict} "
-            f"(margin {rep.margin!r}), exact 2D oracle says "
-            f"{'feasible' if oracle else 'infeasible'}"
-        )
+        return [None] * len(reps)
+    oracle = coargmax_oracle_2d_pairs(
+        model.unembeddings, [(rep.i, rep.j) for rep in reps]).tolist()
+    for rep, ties in zip(reps, oracle):
+        if ties != (rep.verdict != "infeasible"):
+            raise ConsistencyError(
+                f"pair ({rep.i}, {rep.j}): lp says {rep.verdict} "
+                f"(margin {rep.margin!r}), exact 2D oracle says "
+                f"{'feasible' if ties else 'infeasible'}"
+            )
     return oracle
 
 
@@ -152,9 +154,10 @@ def _feasibility_section(model: SoftmaxModel, eps: float, indices) -> dict:
     pair decided once and listed as i < j, plus each label's partners."""
     u = model.unembeddings
     graph = tie_graph(u, eps, indices)
+    reps = list(graph.values())
     pairs = [
-        _pair_entry(model, rep, _check_pair_against_oracle(model, rep))
-        for rep in graph.values()
+        _pair_entry(model, rep, oracle)
+        for rep, oracle in zip(reps, _check_against_oracle(model, reps))
     ]
     partners = {
         u.labels[i]: [u.labels[j] for j in range(u.k)
@@ -244,8 +247,6 @@ def _cmd_transform(args) -> int:
 def _cmd_ties(args) -> int:
     model = _load(args)
     u = model.unembeddings
-    if args.index is None and not args.all:
-        raise ValueError("pass --index I or --all")
     indices = range(u.k) if args.all else [args.index]
     feasibility = _feasibility_section(model, args.eps, indices)
     for label, mine in feasibility["partners"].items():
@@ -452,8 +453,9 @@ def _build_parser() -> _Parser:
         "cross-checked against the exact oracle (disagreement exits 4).",
     )
     _add_input_flags(p)
-    p.add_argument("--index", type=int, default=None, help="one label index")
-    p.add_argument("--all", action="store_true", help="all labels")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--index", type=int, default=None, help="one label index")
+    which.add_argument("--all", action="store_true", help="all labels")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--output", default=None, help="report json path")
     p.set_defaults(func=_cmd_ties)

@@ -11,11 +11,13 @@ the certificate that phase 1 ends with (a tie witness, or labels whose mix
 lies on the line through g_i and g_j) in floats with an error bound, in
 Fractions, or by an exact rational phase 1.  `tie_graph` decides every
 unordered pair once, settles all pairs of a label proven to lie inside the
-convex hull of the others from that one proof, and runs the float phase 1
-of all the other pairs as stacks (`coargmax_phase1`).  `coargmax_oracle_2d`
-answers exactly in two dimensions: there f is confined to the line
-orthogonal to g_i - g_j, so it suffices to test the two directions of that
-line, each sign by an exact orientation predicate.
+convex hull of the others from that one proof, runs the float phase 1 of
+all the other pairs as stacks (`coargmax_phase1`), and checks their
+certificates with float filters that take whole arrays of pairs.
+`coargmax_oracle_2d_pairs` answers exactly in two dimensions: there f is
+confined to the line orthogonal to g_i - g_j, so it suffices to test the
+two directions of that line, each sign by an exact orientation predicate;
+the predicates of many pairs are evaluated as one table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .lp import coargmax_phase1, hull_lp, pow2_exponent, solve
+from .lp import _check_pairs, coargmax_phase1, hull_lp, pow2_exponent, solve
 from .model import SoftmaxModel, UnembeddingSet, as_label_vector
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "nearest_neighbors",
     "coargmax_feasible",
     "coargmax_oracle_2d",
+    "coargmax_oracle_2d_pairs",
     "tie_graph",
     "tie_partners",
     "decision_regions",
@@ -209,10 +212,27 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _others(k: int, i: int, j: int) -> np.ndarray:
-    keep = np.ones(k, dtype=bool)
-    keep[[i, j]] = False
-    return np.flatnonzero(keep)
+def _others(k: int, i, j) -> np.ndarray:
+    """The labels other than i and j, in index order.  For arrays of pairs,
+    one row per pair: all pairs of one call have i != j, or all have
+    i = j."""
+    i, j = np.asarray(i), np.asarray(j)
+    keep = np.ones((i.size, k), dtype=bool)
+    rows = np.arange(i.size)
+    keep[rows, i.ravel()] = False
+    keep[rows, j.ravel()] = False
+    return np.nonzero(keep)[1].reshape(i.shape + (-1,))
+
+
+# Bytes of the largest per-pair temporary (about k x (d + 1) floats) that
+# a batch of certificate checks holds at once; batches are cut into chunks
+# of this size, so memory does not grow with the number of pairs.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunks(n: int, k: int, d: int) -> list[slice]:
+    step = max(1, _CHUNK_BYTES // (8 * k * (d + 1)))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -222,24 +242,35 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return top[..., 0] * np.sqrt(((v / safe) ** 2).sum(axis=-1))
 
 
-def _tie_filter(g, i, j, f) -> bool:
-    """True only if the exact projection f* of f onto (g_j - g_i)-perp has
+def _matvec(a, x) -> np.ndarray:
+    """a_p @ x_p for every row x_p of x, with a one matrix or a stack of
+    them, one row per pair.  The stacked matmul rounds each product as the
+    single a_p @ x_p does."""
+    return np.matmul(a, x[:, :, None])[:, :, 0]
+
+
+def _tie_filter(g, i, j, f) -> np.ndarray:
+    """For each pair (i_p, j_p) with direction f_p (rows of f): True only
+    if the exact projection f* of f_p onto (g_j - g_i)-perp has
     f*.(g_i - g_k) > 0 for every other label k.
 
     With s = g f in floats and e_k = gamma(d) (|g| |f|)_k, the exact margin
     f*.(g_i - g_k) = f.(g_i - g_k) - (f.u)(u.(g_i - g_k))/(u.u), u = g_j - g_i,
     is at least (s_i - s_k) - e_i - e_k - (|s_j - s_i| + e_i + e_j) rho_k
     with rho_k = |g_i - g_k| / |u| (Cauchy-Schwarz)."""
-    rest = _others(g.shape[0], i, j)
-    scores = g @ f
-    err = _gamma(g.shape[1]) * (np.abs(g) @ np.abs(f)) + _TINY
-    budget = err[i] + err[rest]
-    norm_u = float(_row_norms(g[j] - g[i]))
-    if norm_u > 0.0:
-        off_line = abs(scores[j] - scores[i]) + err[i] + err[j]
-        budget = budget + off_line * (_row_norms(g[i] - g[rest]) / norm_u)
-    gap = (scores[i] - scores[rest]) * (1.0 - 4.0 * _U)
-    return bool(np.all(gap > 2.0 * budget))
+    rows = np.arange(len(i))
+    scores = _matvec(g, f)
+    err = _gamma(g.shape[1]) * _matvec(np.abs(g), np.abs(f)) + _TINY
+    s_i, e_i = scores[rows, i, None], err[rows, i, None]
+    norms = _row_norms(g[i][:, None, :] - g)  # |g_i - g_k|, and |u| at k = j
+    norm_u = norms[rows, j, None]
+    off_line = np.abs(scores[rows, j, None] - s_i) + e_i + err[rows, j, None]
+    # where u = 0 the line is undefined and f is not projected
+    rho = norms / np.where(norm_u > 0.0, norm_u, 1.0)
+    budget = e_i + err + np.where(norm_u > 0.0, off_line, 0.0) * rho
+    wins = (s_i - scores) * (1.0 - 4.0 * _U) > 2.0 * budget
+    wins[rows, i] = wins[rows, j] = True  # no rivals of the pair itself
+    return wins.all(axis=1)
 
 
 def _tie_fraction(g, i, j, f) -> bool:
@@ -264,38 +295,61 @@ def _support(g, i, j, x):
     return _others(g.shape[0], i, j)[keep], s != 0.0, values
 
 
-def _no_tie_filter(g, i, j, x) -> bool:
-    """True only if the square system on the support of x has an exact
-    solution whose weights are all positive (a verified solve: with
-    R ~ A^-1 and |I - R A| summing to beta < 1 by rows, the exact solution
-    is within |R| |b - A x| / (1 - beta) of x)."""
-    labels, with_s, z = _support(g, i, j, x)
-    n = g.shape[1] + 1
-    if z.size != n:
-        return False
-    a = np.vstack([g[labels].T, np.ones(labels.size)])
-    err_a = np.zeros_like(a)
-    if with_s:  # the column g_i - g_j is rounded once
-        a = np.column_stack([a, np.append(g[i] - g[j], 0.0)])
-        err_a = np.column_stack([err_a, _U * np.abs(a[:, -1])])
-    b = np.append(g[i], 1.0)
+def _inverses(a) -> np.ndarray:
+    """np.linalg.inv of each matrix of the stack a, NaN for a singular one
+    (which fails every check it enters)."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # raised for the whole stack
+        out = np.full_like(a, np.nan)
+        for m, one in enumerate(a):
+            try:
+                out[m] = np.linalg.inv(one)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _no_tie_filter(g, i, j, x) -> np.ndarray:
+    """For each pair (i_p, j_p) with phase-1 solution x_p (rows of x): True
+    only if the square system on the support of x_p has an exact solution
+    whose weights are all positive (a verified solve: with R ~ A^-1 and
+    |I - R A| summing to beta < 1 by rows, the exact solution is within
+    |R| |b - A x| / (1 - beta) of x)."""
+    k, d = g.shape
+    n = d + 1
+    support = x > 0.0
+    support[:, -1] = x[:, -1] != 0.0
+    square = support.sum(axis=1) == n
+    if not square.all():  # no square system to solve: unproven
+        proven = np.zeros(len(i), dtype=bool)
+        if square.any():
+            proven[square] = _no_tie_filter(g, i[square], j[square], x[square])
+        return proven
+    # every column of each pair's system, as rows: (g_l, 1) of each other
+    # label l, then (g_i - g_j, 0) for s.  That difference is rounded once;
+    # its error, at most u |A|, is covered by adding u to the gamma of each
+    # |A| term below.
+    columns = np.ones(support.shape + (n,))
+    columns[:, :-1, :d] = g[_others(k, i, j)]
+    columns[:, -1, :d] = g[i] - g[j]
+    columns[:, -1, d] = 0.0
+    a = np.ascontiguousarray(columns[support].reshape(-1, n, n).transpose(0, 2, 1))
+    z = x[support].reshape(-1, n)
+    b = np.ones((len(i), n))
+    b[:, :d] = g[i]
+    g_n = _gamma(n + 1)
     with np.errstate(all="ignore"):
-        try:
-            r = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            return False
+        r = _inverses(a)
         abs_r, abs_a = np.abs(r), np.abs(a)
-        g_n = _gamma(n + 1)
-        c = (np.abs(np.eye(n) - r @ a) + g_n * (abs_r @ abs_a)
-             + abs_r @ err_a + _TINY)
-        beta = 2.0 * float(c.sum(axis=1).max())
-        if not beta < 1.0:
-            return False
-        resid = (np.abs(b - a @ z) + g_n * (np.abs(b) + abs_a @ np.abs(z))
-                 + err_a @ np.abs(z) + _TINY)
-        delta = 2.0 * float((abs_r @ resid).max()) / (1.0 - beta)
-        weights = z[: labels.size]
-        return bool(np.all(weights * (1.0 - 4.0 * _U) > delta))
+        c = np.abs(np.eye(n) - r @ a) + (g_n + _U) * (abs_r @ abs_a) + _TINY
+        beta = 2.0 * c.sum(axis=2).max(axis=1)
+        resid = (np.abs(b - _matvec(a, z)) + g_n * np.abs(b)
+                 + (g_n + _U) * _matvec(abs_a, np.abs(z)) + _TINY)
+        delta = 2.0 * _matvec(abs_r, resid).max(axis=1) / (1.0 - beta)
+        positive = z * (1.0 - 4.0 * _U) > delta[:, None]
+    positive[:, -1] |= support[:, -1]  # s is free: no sign to prove
+    return (beta < 1.0) & positive.all(axis=1)
 
 
 def _no_tie_fraction(g, i, j, x) -> bool:
@@ -344,22 +398,28 @@ def _exact_phase1(g, i, j, labels=None):
     return [sign[r] * (1 - cost[n + r]) for r in range(d)]
 
 
+def _unit_box(v) -> np.ndarray:
+    """Each row of v divided by its largest magnitude (a zero row stays
+    zero: it is divided by the smallest subnormal)."""
+    return v / np.maximum(np.abs(v).max(axis=1, keepdims=True), 5e-324)
+
+
 def _witness(g, i, j, f):
-    """The float witness reported for a proven tie: f projected onto
-    (g_j - g_i)-perp and scaled into the unit box, with its margin."""
-    f = np.asarray(f, dtype=np.float64)
-    u = g[j] - g[i]
-    top = float(np.abs(u).max())
-    if top > 0.0:
-        u = u / top
-        f = f - (float(f @ u) / float(u @ u)) * u
-    top = float(np.abs(f).max())
-    if top > 0.0:
-        f = f / top
-    scores = g @ f
-    rest = scores[_others(g.shape[0], i, j)]
-    margin = min(scores[i], scores[j]) - rest.max() if rest.size else math.inf
-    return f, float(margin)
+    """The float witnesses reported for proven ties, one per pair
+    (i_p, j_p) with tie direction f_p (rows of f): f_p projected onto
+    (g_j - g_i)-perp and scaled into the unit box, and its margin (inf
+    when there is no third label).  Each stacked dot product rounds as
+    the single one does."""
+    rows = np.arange(len(i))
+    u = _unit_box(g[j] - g[i])
+    # u.u >= 1 once u is scaled, and u = 0 where g_i = g_j: then f stays
+    along = (np.matmul(f[:, None, :], u[:, :, None])[:, 0]
+             / np.maximum(np.matmul(u[:, None, :], u[:, :, None])[:, 0], 1.0))
+    f = _unit_box(f - along * u)
+    scores = _matvec(g, f)
+    tied = np.minimum(scores[rows, i], scores[rows, j])
+    scores[rows, i] = scores[rows, j] = -np.inf
+    return f, tied - scores.max(axis=1)
 
 
 def _rescaled(g):
@@ -368,32 +428,7 @@ def _rescaled(g):
     underflow rounded an entry, only the exact checks on g apply."""
     e = pow2_exponent(g)
     scaled = np.ldexp(g, -e)
-    return scaled, np.array_equal(np.ldexp(scaled, e), g)
-
-
-def _prove(g, i, j, sol, filters: bool):
-    """(float tie direction or None, proof path) for pair i < j of model g,
-    from the float phase-1 solution `sol` of coargmax_lp.  The float
-    filters run only when `filters` says g is the exactly rescaled model
-    they assume."""
-    if sol.status == "infeasible":
-        f = sol.duals[: g.shape[1]]
-        top = float(np.abs(f).max())
-        f = f / top if top > 0.0 else f
-        if filters and _tie_filter(g, i, j, f):
-            return f, "float"
-        if _tie_fraction(g, i, j, f):
-            return f, "fraction"
-    elif sol.status == "optimal":
-        if filters and _no_tie_filter(g, i, j, sol.x):
-            return None, "float"
-        if _no_tie_fraction(g, i, j, sol.x):
-            return None, "fraction"
-    f = _exact_phase1(g, i, j)
-    if f is None:
-        return None, "exact"
-    top = max(abs(v) for v in f)
-    return [float(v / top) for v in f], "exact"
+    return scaled, bool((np.ldexp(scaled, e) == g).all())
 
 
 def _check_eps(eps: float) -> None:
@@ -401,22 +436,60 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
 
 
-def _report(unembeddings, scaled, exact_scale: bool, i: int, j: int,
-            eps: float, sol) -> FeasibilityReport:
-    """The proven report of pair (i, j) from `sol`, the float phase 1 of
-    coargmax_lp for the pair in index order."""
-    lo, hi = min(i, j), max(i, j)
+def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
+             sols) -> list[FeasibilityReport]:
+    """The proven report of each pair (i, j) of `pairs` from sols, the
+    float phase 1 of coargmax_lp for each pair in index order.
+
+    The float filters check the certificates of the whole batch at once;
+    they run only when exact_scale says `scaled` is the exactly rescaled
+    model they assume.  A certificate they reject is checked in Fractions,
+    and a pair whose certificate fails that too is decided by an exact
+    rational phase 1."""
     g = scaled if exact_scale else unembeddings.vectors
-    f, proof = _prove(g, lo, hi, sol, exact_scale)
-    if f is None:
-        return FeasibilityReport(
-            i, j, "infeasible", 0.0, eps, None, sol.status, proof
-        )
-    witness, margin = _witness(scaled, lo, hi, f)
-    verdict = "feasible" if margin > eps else "degenerate"
-    return FeasibilityReport(
-        i, j, verdict, margin, eps, witness, sol.status, proof
-    )
+    d = g.shape[1]
+    lo, hi = np.sort(np.array(pairs, dtype=np.intp), axis=1).T
+    proof = [""] * len(pairs)
+    direction = {}  # pair index -> proven tie direction
+    # phase 1 infeasible: its duals are a tie direction
+    tie = [p for p, sol in enumerate(sols) if sol.status == "infeasible"]
+    if tie:
+        f = _unit_box(np.array([sols[p].duals[:d] for p in tie]))
+        passed = (_tie_filter(g, lo[tie], hi[tie], f) if exact_scale
+                  else [False] * len(tie))
+        for p, fp, ok in zip(tie, f, passed):
+            if ok or _tie_fraction(g, lo[p], hi[p], fp):
+                proof[p], direction[p] = "float" if ok else "fraction", fp
+    # phase 1 feasible: its weights mix the other labels onto the line
+    no_tie = [p for p, sol in enumerate(sols) if sol.status == "optimal"]
+    if no_tie:
+        passed = (_no_tie_filter(g, lo[no_tie], hi[no_tie],
+                                 np.array([sols[p].x for p in no_tie]))
+                  if exact_scale else [False] * len(no_tie))
+        for p, ok in zip(no_tie, passed):
+            if ok or _no_tie_fraction(g, lo[p], hi[p], sols[p].x):
+                proof[p] = "float" if ok else "fraction"
+    for p in range(len(pairs)):
+        if not proof[p]:
+            exact = _exact_phase1(g, lo[p], hi[p])
+            proof[p] = "exact"
+            if exact is not None:
+                top = max(abs(v) for v in exact)
+                direction[p] = np.array([float(v / top) for v in exact])
+    found = {}
+    if direction:
+        ties = sorted(direction)
+        witnesses, margins = _witness(scaled, lo[ties], hi[ties],
+                                      np.array([direction[p] for p in ties]))
+        found = dict(zip(ties, zip(witnesses, margins.tolist())))
+    reports = []
+    for p, ((i, j), sol) in enumerate(zip(pairs, sols)):
+        witness, margin = found.get(p, (None, 0.0))
+        verdict = ("infeasible" if witness is None
+                   else "feasible" if margin > eps else "degenerate")
+        reports.append(FeasibilityReport(
+            i, j, verdict, margin, eps, witness, sol.status, proof[p]))
+    return reports
 
 
 def coargmax_feasible(
@@ -438,31 +511,30 @@ def coargmax_feasible(
     if i == j:
         raise ValueError("need two distinct label indices")
     _check_eps(eps)
-    (sol,) = coargmax_phase1(unembeddings, [(min(i, j), max(i, j))])
+    sols = coargmax_phase1(unembeddings, [(min(i, j), max(i, j))])
     scaled, exact_scale = _rescaled(unembeddings.vectors)
-    return _report(unembeddings, scaled, exact_scale, i, j, eps, sol)
+    return _reports(unembeddings, scaled, exact_scale, [(i, j)], eps, sols)[0]
 
 
 def _orient2d_signs(a, b, c) -> np.ndarray:
-    """Exact sign of (a - c) x (b_m - c) for every row b_m of b: a float
-    evaluation with Shewchuk's static error bound, and Fractions for the
-    rows the bound cannot decide."""
-    with np.errstate(all="ignore"):  # overflow leaves a row unsure
-        ac, bc = a - c, b - c
-        left = ac[0] * bc[:, 1]
-        right = ac[1] * bc[:, 0]
+    """Exact sign of (a - c) x (b_m - c) for every row b_m of b, with a and
+    c of shape (..., 2) and b of shape (..., m, 2): a float evaluation with
+    Shewchuk's static error bound, and Fractions for the entries the bound
+    cannot decide."""
+    with np.errstate(all="ignore"):  # overflow leaves an entry unsure
+        ac, bc = a - c, b - c[..., None, :]
+        left = ac[..., None, 0] * bc[..., 1]
+        right = ac[..., None, 1] * bc[..., 0]
         det = left - right
         # _TINY covers a product that underflowed (a subnormal difference
         # is exact)
         bound = _CCW_ERRBOUND * (np.abs(left) + np.abs(right)) + _TINY
-        unsure = np.flatnonzero(~(np.abs(det) > bound))
+        unsure = ~(np.abs(det) > bound)  # NaN after overflow: unsure
     signs = np.sign(det)
-    if unsure.size:
-        fa, fc = _fractions(a), _fractions(c)
-    for m in unsure:
-        fb = _fractions(b[m])
+    for at in zip(*unsure.nonzero()):
+        fa, fb, fc = (_fractions(v) for v in (a[at[:-1]], b[at], c[at[:-1]]))
         exact = (fa[0] - fc[0]) * (fb[1] - fc[1]) - (fa[1] - fc[1]) * (fb[0] - fc[0])
-        signs[m] = (exact > 0) - (exact < 0)
+        signs[at] = (exact > 0) - (exact < 0)
     return signs
 
 
@@ -481,24 +553,44 @@ def _in_open_half_plane(p, c) -> bool:
     )
 
 
-def coargmax_oracle_2d(unembeddings: UnembeddingSet, i: int, j: int) -> bool:
-    """Exact 2D decider: any candidate f lies on the line orthogonal to
-    g_i - g_j, so check both directions of that line for strict wins.  The
-    sign of (g_i - g_k) . w for w = rot90(g_i - g_j) is an orientation
-    predicate, decided exactly.  When g_i = g_j, any f may do: the pair
-    ties iff every g_k - g_i is nonzero and in one open half-plane."""
+def coargmax_oracle_2d_pairs(unembeddings: UnembeddingSet, pairs) -> np.ndarray:
+    """Exact 2D decider for every pair (i, j) of `pairs`, as a bool array.
+
+    Any candidate f lies on the line orthogonal to g_i - g_j, so check
+    both directions of that line for strict wins.  The sign of
+    (g_i - g_k) . w for w = rot90(g_i - g_j) is an orientation predicate;
+    the predicates of all pairs and labels form one (pairs x k) table,
+    decided exactly.  When g_i = g_j, any f may do: the pair ties iff
+    every g_k - g_i is nonzero and in one open half-plane."""
     if unembeddings.d != 2:
         raise DimensionMismatchError("the exact oracle applies to d=2 only")
-    if i == j:
-        raise ValueError("need two distinct label indices")
     g = unembeddings.vectors
-    rest = _others(g.shape[0], i, j)
-    if not rest.size:
-        return True
-    if np.array_equal(g[i], g[j]):
-        return _in_open_half_plane(g[rest], g[i])
-    signs = _orient2d_signs(g[j], g[rest], g[i])
-    return bool(np.all(signs > 0) or np.all(signs < 0))
+    k = g.shape[0]
+    _check_pairs(k, pairs)
+    ties = np.ones(len(pairs), dtype=bool)
+    if k == 2 or not ties.size:
+        return ties
+    i, j = np.array(pairs, dtype=np.intp).T
+    g_i, g_j = g[i], g[j]
+    equal = (g_i == g_j).all(axis=1)
+    if equal.any():  # every orientation of such a pair is zero
+        for p in np.flatnonzero(equal):
+            ties[p] = _in_open_half_plane(g[_others(k, i[p], j[p])], g_i[p])
+        apart = ~equal
+        ties[apart] = coargmax_oracle_2d_pairs(unembeddings,
+                                               np.column_stack([i, j])[apart])
+        return ties
+    for part in _chunks(len(ties), k, 2):
+        signs = _orient2d_signs(g_j[part], g[_others(k, i[part], j[part])],
+                                g_i[part])
+        # each sign is -1, 0 or 1: all of one strict sign iff |sum| = k - 2
+        ties[part] = np.abs(signs.sum(axis=1)) == k - 2
+    return ties
+
+
+def coargmax_oracle_2d(unembeddings: UnembeddingSet, i: int, j: int) -> bool:
+    """coargmax_oracle_2d_pairs for the one pair (i, j)."""
+    return bool(coargmax_oracle_2d_pairs(unembeddings, [(i, j)])[0])
 
 
 def _clear_vertices(g) -> np.ndarray:
@@ -511,20 +603,32 @@ def _clear_vertices(g) -> np.ndarray:
     return own > scores.max(axis=1)
 
 
-def _inside_proof(unembeddings: UnembeddingSet, i: int, scaled,
-                  exact_scale: bool) -> str:
-    """The proof path ("float" or "fraction") of weights on the other labels
-    whose mix is g_i, found by hull_lp and proven like coargmax_feasible's
-    "cannot tie" certificates (with u = 0 and s = 0); "" when there are
-    none or they cannot be proven."""
-    sol = solve(hull_lp(unembeddings, i))
-    if sol.status != "optimal":
-        return ""
-    x = np.append(sol.x, 0.0)  # the s of the pair system (i, i)
-    if exact_scale and _no_tie_filter(scaled, i, i, x):
-        return "float"
+def _inside_proofs(unembeddings: UnembeddingSet, labels, scaled,
+                   exact_scale: bool) -> dict[int, str]:
+    """For each label m of `labels`, the proof path ("float" or "fraction")
+    of weights on the other labels whose mix is g_m, found by hull_lp and
+    proven like coargmax_feasible's "cannot tie" certificates (as the pair
+    system (m, m), with u = 0 and s = 0); "" when there are none or they
+    cannot be proven."""
+    proofs = dict.fromkeys(labels, "")
+    found, weights = [], []
+    for m in labels:
+        sol = solve(hull_lp(unembeddings, m))
+        if sol.status == "optimal":
+            found.append(m)
+            weights.append(np.append(sol.x, 0.0))  # the s of the system (m, m)
+    if not found:
+        return proofs
+    at, x = np.array(found), np.array(weights)
+    passed = np.zeros(len(found), dtype=bool)
+    if exact_scale:
+        for part in _chunks(len(found), *scaled.shape):
+            passed[part] = _no_tie_filter(scaled, at[part], at[part], x[part])
     g = scaled if exact_scale else unembeddings.vectors
-    return "fraction" if _no_tie_fraction(g, i, i, x) else ""
+    for m, xm, ok in zip(found, x, passed):
+        if ok or _no_tie_fraction(g, m, m, xm):
+            proofs[m] = "float" if ok else "fraction"
+    return proofs
 
 
 def tie_graph(
@@ -543,7 +647,8 @@ def tie_graph(
     j weight lam < 1, (g_i - lam g_j) / (1 - lam) is a mix of the rest on
     that line.  Such a pair is reported with the proof path of label i's
     certificate.  Every other pair is decided like coargmax_feasible
-    decides it, from one coargmax_phase1 call for all of them."""
+    decides it, from one coargmax_phase1 call for all of them, with the
+    certificates proven in batches."""
     _check_eps(eps)
     k = unembeddings.k
     wanted = set(range(k) if rows is None else rows)
@@ -553,32 +658,37 @@ def tie_graph(
     g = unembeddings.vectors
     scaled, exact_scale = _rescaled(g)
     clear = _clear_vertices(scaled)
-    inside: dict[int, str] = {}
-
-    def inside_proof(m: int) -> str:
-        if m not in inside:
-            inside[m] = "" if clear[m] else _inside_proof(
-                unembeddings, m, scaled, exact_scale)
-        return inside[m]
+    inside = dict.fromkeys(range(k), "")
+    # a label of `rows` first: its proof settles all of its pairs; the
+    # others matter only for the pairs of a label of `rows` left unproven
+    for group in (wanted, set(range(k)) - wanted):
+        inside.update(_inside_proofs(
+            unembeddings, [m for m in sorted(group) if not clear[m]],
+            scaled, exact_scale))
+        if all(inside[m] for m in wanted):
+            break
 
     graph = {}
     todo = []
+    vectors = g.tolist()  # compared as floats: -0.0 == 0.0
     for i in range(k):
         for j in range(i + 1, k):
             if i not in wanted and j not in wanted:
                 continue
-            # a label of `rows` first: its proof settles all of its pairs
             first, second = (i, j) if i in wanted else (j, i)
-            proof = inside_proof(first) or inside_proof(second)
-            if proof and not np.array_equal(g[i], g[j]):
+            proof = inside[first] or inside[second]
+            if proof and vectors[i] != vectors[j]:
                 graph[i, j] = FeasibilityReport(
                     i, j, "infeasible", 0.0, eps, None, "optimal", proof
                 )
             else:
                 graph[i, j] = None  # keeps the key order
                 todo.append((i, j))
-    for (i, j), sol in zip(todo, coargmax_phase1(unembeddings, todo)):
-        graph[i, j] = _report(unembeddings, scaled, exact_scale, i, j, eps, sol)
+    sols = coargmax_phase1(unembeddings, todo)
+    for part in _chunks(len(todo), *g.shape):
+        reports = _reports(unembeddings, scaled, exact_scale, todo[part], eps,
+                           sols[part])
+        graph.update(zip(todo[part], reports))
     return graph
 
 

@@ -62,7 +62,7 @@ def _as_matrix(a, b, n, name):
         raise ValueError(f"{name} must be a matrix with {n} columns")
     if bm.shape != (am.shape[0],):
         raise ValueError(f"{name} rhs length {bm.shape} != {am.shape[0]} rows")
-    if not (np.all(np.isfinite(am)) and np.all(np.isfinite(bm))):
+    if not (np.isfinite(am).all() and np.isfinite(bm).all()):
         raise ValueError(f"{name} contains non-finite entries")
     return am, bm
 
@@ -81,7 +81,7 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=np.float64)
-        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
             raise ValueError("objective must be a finite 1-D vector")
         n = c.shape[0]
         a_eq, b_eq = _as_matrix(self.a_eq, self.b_eq, n, "a_eq")
@@ -98,9 +98,9 @@ class LinearProgram:
         )
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must have one entry per variable")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("bounds may be infinite but not NaN")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         for attr, val in (
             ("objective", c), ("a_eq", a_eq), ("b_eq", b_eq),
@@ -319,18 +319,21 @@ def _finish(lp: LinearProgram, tab, basis, ncols_all: int,
         basis = basis[keep]
         m = basis.shape[0]
 
-    # phase 2: minimize the negated objective over structural columns
+    # phase 2: minimize the negated objective over structural columns.  A
+    # zero objective (every system the package builds) prices no column,
+    # so below the cap the vertex phase 1 ended on is optimal as it stands.
     offset, first, free = _columns(lp)
-    cost2 = np.zeros(total_cols)
-    cost2[first] += -lp.objective
-    cost2[first[free] + 1] += lp.objective[free]
-    outcome, iterations = _run_phase(
-        tab, basis, cost2, structural, max_iterations, iterations
-    )
-    if outcome == "cap":
-        return LpSolution("indeterminate", None, None, iterations)
-    if outcome == "unbounded":
-        return LpSolution("unbounded", None, None, iterations)
+    if lp.objective.any() or iterations >= max_iterations:
+        cost2 = np.zeros(total_cols)
+        cost2[first] += -lp.objective
+        cost2[first[free] + 1] += lp.objective[free]
+        outcome, iterations = _run_phase(
+            tab, basis, cost2, structural, max_iterations, iterations
+        )
+        if outcome == "cap":
+            return LpSolution("indeterminate", None, None, iterations)
+        if outcome == "unbounded":
+            return LpSolution("unbounded", None, None, iterations)
 
     xhat = np.zeros(total_cols)
     xhat[basis] = tab[:m, total_cols]
@@ -351,9 +354,9 @@ def _finish(lp: LinearProgram, tab, basis, ncols_all: int,
         ok = False
     finite_lo = np.isfinite(lp.lower)
     finite_hi = np.isfinite(lp.upper)
-    if np.any(x[finite_lo] < lp.lower[finite_lo] - 1e-9 * scale):
+    if (x[finite_lo] < lp.lower[finite_lo] - 1e-9 * scale).any():
         ok = False
-    if np.any(x[finite_hi] > lp.upper[finite_hi] + 1e-9 * scale):
+    if (x[finite_hi] > lp.upper[finite_hi] + 1e-9 * scale).any():
         ok = False
     if not ok:
         return LpSolution("indeterminate", None, None, iterations)
@@ -476,7 +479,7 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
     t[:, :m, :k] *= flip[:, :, None]
     t[:, :m, total] *= flip
     t[:, np.arange(m), k + np.arange(m)] = 1.0
-    basis = np.broadcast_to(k + np.arange(m), (n, m)).copy()
+    basis = k + np.arange(m) + np.zeros((n, 1), dtype=np.intp)
 
     # phase 1 as in _run_phase, with cost 1 on the artificials.  The
     # stacked matmul makes the BLAS call of _run_phase's cost[basis] @ t
@@ -516,7 +519,7 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
             piv, step = pivot_col[at, row], ratios[at, row]
 
             # a tableau whose phase 1 ended swaps with the last live one
-            ended = np.flatnonzero(~(eligible.any(axis=1) & positive.any(axis=1)))
+            ended = (~(eligible.any(axis=1) & positive.any(axis=1))).nonzero()[0]
             for s in ended[::-1]:
                 if eligible[s].any():  # unbounded: not for a sum of >= 0
                     sol = LpSolution("indeterminate", None, None, iterations)

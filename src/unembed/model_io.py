@@ -269,8 +269,7 @@ def save_model(
             list(map(float, row)) for row in model.embeddings.points
         ]
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2) + "\n")
     return written
 
 
@@ -291,8 +290,7 @@ def save_report(report: dict, path: str) -> None:
     if missing:
         raise ValueError(f"report is missing sections: {missing}")
     with open(path, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(report, indent=2) + "\n")
 
 
 def load_report(path: str) -> dict:

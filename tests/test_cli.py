@@ -175,8 +175,15 @@ class TestTies:
         assert pairs[(0, 1)] == "feasible"
         assert pairs[(1, 3)] == "infeasible"
 
-    def test_missing_selector_exits_3(self, data_dir):
+    def test_missing_selector_exits_3(self, data_dir, capsys):
         assert main(["ties", "--input", _model_path(data_dir, "centered")]) == 3
+        assert "one of the arguments --index --all is required" in capsys.readouterr().err
+
+    def test_index_and_all_exit_3(self, data_dir, capsys):
+        # --index I and --all are alternatives; both given is a usage error
+        assert main(["ties", "--input", _model_path(data_dir, "centered"),
+                     "--index", "2", "--all"]) == 3
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_bad_eps_exits_3(self, data_dir, tmp_path, capsys, eps):
@@ -435,8 +442,8 @@ class TestExitCodes:
         assert verdicts[(2, 3)] == "infeasible"
         # an oracle that contradicts a verdict trips the exit-4 path
         import unembed.cli
-        oracle = unembed.cli.coargmax_oracle_2d
-        monkeypatch.setattr(unembed.cli, "coargmax_oracle_2d",
-                            lambda u, i, j: not oracle(u, i, j))
+        oracle = unembed.cli.coargmax_oracle_2d_pairs
+        monkeypatch.setattr(unembed.cli, "coargmax_oracle_2d_pairs",
+                            lambda u, pairs: ~oracle(u, pairs))
         assert main(["ties", "--input", path, "--index", "2"]) == 4
         assert "consistency" in capsys.readouterr().err

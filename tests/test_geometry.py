@@ -13,6 +13,7 @@ from unembed import (
     ZeroVectorError,
     coargmax_feasible,
     coargmax_oracle_2d,
+    coargmax_oracle_2d_pairs,
     cosine,
     decision_regions,
     dot,
@@ -35,7 +36,7 @@ from unembed.geometry import (
     _tie_filter,
     _tie_fraction,
 )
-from unembed.lp import coargmax_lp, hull_lp, solve
+from unembed.lp import coargmax_lp, coargmax_phase1, hull_lp, solve
 from oracle_utils import coargmax_bruteforce, cosine_reference
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -318,12 +319,13 @@ class TestCertificateChecks:
             g, k = u.vectors, u.k
             for (i, j), rep in tie_graph(u).items():
                 if rep.verdict == "infeasible":
-                    for f in rng.standard_normal((20, 2)):
-                        assert not _tie_filter(g, i, j, f)
+                    fs = rng.standard_normal((20, 2))
+                    assert not _tie_filter(g, np.full(20, i), np.full(20, j), fs).any()
+                    for f in fs:
                         assert not _tie_fraction(g, i, j, f)
                 else:
                     x = np.append(np.full(k - 2, 1.0 / (k - 2)), 0.5)
-                    assert not _no_tie_filter(g, i, j, x)
+                    assert not _no_tie_filter(g, np.array([i]), np.array([j]), x[None])[0]
                     assert not _no_tie_fraction(g, i, j, x)
 
     def test_phase1_near_miss_is_rejected(self):
@@ -335,7 +337,7 @@ class TestCertificateChecks:
         sol = solve(coargmax_lp(u, 2, 4))
         assert sol.status == "optimal"
         g = u.vectors / 4.0  # the LP's power-of-two rescale
-        assert not _no_tie_filter(g, 2, 4, sol.x)
+        assert not _no_tie_filter(g, np.array([2]), np.array([4]), sol.x[None])[0]
         assert not _no_tie_fraction(g, 2, 4, sol.x)
         rep = coargmax_feasible(u, 2, 4)
         assert (rep.verdict, rep.proof) == ("degenerate", "exact")
@@ -343,7 +345,7 @@ class TestCertificateChecks:
     def test_collinear_direction_is_not_a_witness(self):
         g = np.array([[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]])
         f = np.array([1.0, -1.0])  # ties all three labels at 0
-        assert not _tie_filter(g, 0, 1, f)
+        assert not _tie_filter(g, np.array([0]), np.array([1]), f[None])[0]
         assert not _tie_fraction(g, 0, 1, f)
 
     def test_tiny_pair_next_to_unit_labels(self):
@@ -462,6 +464,42 @@ class TestCoargmaxOracle2d:
                     found = coargmax_bruteforce(u.vectors, i, j)
                     if found is not None:
                         assert coargmax_oracle_2d(u, i, j) is True
+
+    @given(arrays(np.float64, st.tuples(st.integers(3, 7), st.just(2)),
+                  elements=coord),
+           st.integers(0, 2**32 - 1))
+    @example(np.array([[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]]), 0)
+    @example(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, -1.0], [3.0, 1.0]]), 1)
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_match_exact_phase1(self, g, seed):
+        # one row is put on the line through two others, or one float
+        # step off it, so the orientation table has entries the float
+        # bound cannot decide
+        rng = np.random.default_rng(seed)
+        k = len(g)
+        a, b, c = rng.choice(k, 3, replace=False)
+        g = g.copy()
+        if seed % 3:
+            g[c] = g[a] + rng.uniform(-1.0, 2.0) * (g[b] - g[a])
+        if seed % 3 == 2:
+            g[c] = np.nextafter(g[c], rng.choice([-np.inf, np.inf], 2))
+        u = _labelled(g)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        ties = coargmax_oracle_2d_pairs(u, pairs)
+        assert ties.dtype == bool and ties.shape == (len(pairs),)
+        for (i, j), got in zip(pairs, ties.tolist()):
+            assert got == (_exact_phase1(g, i, j) is not None), (i, j)
+            assert coargmax_oracle_2d(u, j, i) is got
+
+    def test_pairs_validated(self):
+        u = _labelled([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert coargmax_oracle_2d_pairs(u, []).shape == (0,)
+        with pytest.raises(ValueError):
+            coargmax_oracle_2d_pairs(u, [(0, 1), (2, 2)])
+        with pytest.raises(IndexError):
+            coargmax_oracle_2d_pairs(u, [(0, 3)])
+        with pytest.raises(DimensionMismatchError):
+            coargmax_oracle_2d_pairs(_labelled(np.eye(3)), [(0, 1)])
 
 
 class TestLpOracleAgreement:
@@ -656,11 +694,13 @@ class TestHullPruning:
         u = _labelled(np.random.default_rng(5).standard_normal((20, 2)))
         expected = tie_graph(u)
         # the inside certificate is the pair system with i = j; fail only it
+        # (the filter takes arrays of pairs, the Fraction check one pair)
         for name in ("_no_tie_filter", "_no_tie_fraction"):
             check = getattr(geometry, name)
             monkeypatch.setattr(
                 geometry, name,
-                lambda g, i, j, x, check=check: i != j and check(g, i, j, x))
+                lambda g, i, j, x, check=check: (
+                    np.not_equal(i, j) & check(g, i, j, x)))
         calls = _counting_pair_decider(monkeypatch)
         graph = tie_graph(u)
         assert calls == [list(expected)]  # every pair LP-decided
@@ -687,6 +727,177 @@ class TestHullPruning:
             assert (rep.verdict == "infeasible") == (ref.verdict == "infeasible"), (a, b)
             if rep.verdict == "infeasible":
                 assert (rep.margin, rep.witness) == (0.0, None)
+
+
+def _low_rank_model():
+    g = np.zeros((12, 8))
+    g[:, :3] = np.random.default_rng(0).standard_normal((12, 3))
+    return g
+
+
+def _mixed_magnitudes():
+    g = np.random.default_rng(4).standard_normal((6, 2))
+    return g * np.array([[1e-300], [1e300], [1.0], [1e-300], [1e300], [1.0]])
+
+
+def _gauss_d16_with_interior_labels():
+    # nearly every pair of a Gaussian model in R^16 can tie; two random
+    # mixes of 17 of its labels cannot tie with anyone
+    rng = np.random.default_rng([1, 16])
+    g = rng.standard_normal((20, 16))
+    return np.vstack([g, rng.dirichlet(np.ones(17), size=2) @ g[:17]])
+
+
+def _duplicates():
+    g = np.random.default_rng(3).standard_normal((8, 3))
+    g[5], g[7] = g[2], g[1]
+    return g
+
+
+class TestBatchedCertificates:
+    """The float filters prove a whole batch of certificates at once; a
+    proof must hold exactly, and each row must get what a batch of one
+    gets."""
+
+    MODELS = {
+        "gauss-d2": lambda: np.random.default_rng([1, 2]).standard_normal((12, 2)),
+        "gauss-d3": lambda: np.random.default_rng([1, 3]).standard_normal((10, 3)),
+        "gauss-d8": lambda: np.random.default_rng([1, 8]).standard_normal((24, 8)),
+        "gauss-d16": _gauss_d16_with_interior_labels,
+        "mixed-magnitudes": _mixed_magnitudes,
+        "collinear": lambda: np.array([[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]]),
+        "low-rank": _low_rank_model,
+        "duplicates": _duplicates,
+        "k2": lambda: np.array([[1.0, 0.0], [0.0, 1.0]]),
+        "k3": lambda: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    }
+
+    @staticmethod
+    def _batch(g):
+        """The rescaled model and every pair with its float phase 1,
+        split into can-tie (duals) and cannot-tie (weights) batches."""
+        u = _labelled(g)
+        scaled = geometry._rescaled(g)[0]
+        pairs = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
+        sols = coargmax_phase1(u, pairs)
+        tie = [(p, s) for p, s in zip(pairs, sols) if s.status == "infeasible"]
+        no_tie = [(p, s) for p, s in zip(pairs, sols) if s.status == "optimal"]
+        return u, scaled, tie, no_tie
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_filters_agree_with_exact_checks(self, name):
+        g = self.MODELS[name]()
+        u, scaled, tie, no_tie = self._batch(g)
+        small = g.shape[1] <= 3  # the full exact phase 1 is slow beyond
+        step = 1 if g.shape[1] <= 8 else 7  # so are Fractions in R^16
+        if tie:
+            i, j = np.array([p for p, _ in tie]).T
+            f = geometry._unit_box(np.array([s.duals[: g.shape[1]] for _, s in tie]))
+            proven = _tie_filter(scaled, i, j, f)
+            for r, ok in enumerate(proven.tolist()):
+                one = _tie_filter(scaled, i[r:r + 1], j[r:r + 1], f[r:r + 1])
+                assert one.tolist() == [ok], (name, r)
+                if ok and r % step == 0:
+                    assert _tie_fraction(scaled, i[r], j[r], f[r]), (name, r)
+                    if small:
+                        assert _exact_phase1(scaled, i[r], j[r]) is not None
+            # the witnesses of a batch are those of a batch of one, bit for bit
+            w, margin = geometry._witness(scaled, i, j, f)
+            for r in range(len(i)):
+                w1, m1 = geometry._witness(scaled, i[r:r + 1], j[r:r + 1], f[r:r + 1])
+                assert np.array_equal(w[r], w1[0]) and margin[r] == m1[0]
+        if no_tie:
+            i, j = np.array([p for p, _ in no_tie]).T
+            x = np.array([s.x for _, s in no_tie])
+            proven = _no_tie_filter(scaled, i, j, x)
+            for r, ok in enumerate(proven.tolist()):
+                one = _no_tie_filter(scaled, i[r:r + 1], j[r:r + 1], x[r:r + 1])
+                assert one.tolist() == [ok], (name, r)
+                if ok and r % step == 0:
+                    assert _no_tie_fraction(scaled, i[r], j[r], x[r]), (name, r)
+                    if small:
+                        assert _exact_phase1(scaled, i[r], j[r]) is None
+        # one batch of reports of both statuses against batches of one
+        pairs, sols = zip(*(tie + no_tie))
+        exact_scale = geometry._rescaled(g)[1]
+        reports = geometry._reports(u, scaled, exact_scale, pairs, 1e-7, sols)
+        for p, sol, rep in zip(pairs, sols, reports):
+            (one,) = geometry._reports(u, scaled, exact_scale, [p], 1e-7, [sol])
+            assert _same_report(rep, one) and rep.proof == one.proof, (name, p)
+            assert _same_report(rep, coargmax_feasible(u, *p)), (name, p)
+
+    @pytest.mark.parametrize("name", ["gauss-d2", "gauss-d3", "gauss-d8", "gauss-d16"])
+    def test_gaussian_certificates_proven_in_floats(self, name):
+        g = self.MODELS[name]()
+        _, scaled, tie, no_tie = self._batch(g)
+        assert tie and no_tie
+        i, j = np.array([p for p, _ in tie]).T
+        f = geometry._unit_box(np.array([s.duals[: g.shape[1]] for _, s in tie]))
+        assert _tie_filter(scaled, i, j, f).all()
+        i, j = np.array([p for p, _ in no_tie]).T
+        assert _no_tie_filter(scaled, i, j, np.array([s.x for _, s in no_tie])).all()
+
+    def test_tie_filter_threshold_is_twice_the_budget(self):
+        # f = (1, 0) ties g_0 and g_1 exactly and beats g_2 = (1 - t, 0)
+        # by t; the stated budget for g_2 is gamma(2) (2 + t), so the
+        # filter must reject t = 6u and accept t = 12u (u = 2**-53)
+        u = 2.0 ** -53
+        f = np.array([[1.0, 0.0]])
+        for t, proven in ((6 * u, False), (12 * u, True)):
+            g = np.array([[1.0, 0.0], [1.0, 1.0], [1.0 - t, 0.0]])
+            assert _tie_filter(g, np.array([0]), np.array([1]), f).tolist() == [proven]
+            assert _tie_fraction(g, 0, 1, f[0])
+
+    def test_no_tie_filter_threshold(self):
+        # g_2 = (1, 1) and g_3 = (-1, -1) mix onto the line through
+        # g_0 = (0, y) and g_1 = (1, y), y = 1 - 2**-p, with weight
+        # 2**-(p + 1) on g_3 (and s = y).  Every entry is dyadic and the
+        # inverse is exact; the stated bound on the weights' error is about
+        # 4.2e-15, so the filter proves them up to p = 46 (weight 7.1e-15)
+        # and not from p = 47 (3.6e-15); the exact check proves them all
+        for p in range(44, 50):
+            y = 1.0 - 2.0 ** -p
+            g = np.array([[0.0, y], [1.0, y], [1.0, 1.0], [-1.0, -1.0]])
+            x = np.array([[1.0 - 2.0 ** -(p + 1), 2.0 ** -(p + 1), y]])
+            proven = _no_tie_filter(g, np.array([0]), np.array([1]), x)
+            assert proven.tolist() == [p <= 46], p
+            assert _no_tie_fraction(g, 0, 1, x[0])
+
+    def test_off_line_direction_rejected(self):
+        # f = (1, 0) beats g_2 but does not tie g_0 and g_1; its projection
+        # (1, 1) / 2 onto the tie line loses to g_2
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.5]])
+        f = np.array([[1.0, 0.0]])
+        assert not _tie_filter(g, np.array([0]), np.array([1]), f)[0]
+        assert not _tie_fraction(g, 0, 1, f[0])
+
+    def test_singular_system_leaves_the_batch_proven(self):
+        # l2 = l3: weights on both (and s) give a singular 3 x 3 system,
+        # which fails; the other pair of the batch is still proven
+        g = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        singular = np.array([0.25, 0.25, 0.0, 0.5])  # mu on l2, l3, l4, then s
+        (sol,) = coargmax_phase1(_labelled(g), [(2, 4)])
+        assert sol.status == "optimal"
+        x = np.array([singular, sol.x])
+        proven = _no_tie_filter(g, np.array([0, 2]), np.array([1, 4]), x)
+        assert proven.tolist() == [False, True]
+        assert not _no_tie_filter(g, np.array([0]), np.array([1]), x[:1])[0]
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_chunks_of_one_pair(self, d, monkeypatch):
+        # a budget below one pair cuts every batch into chunks of one
+        u = _labelled(np.random.default_rng([9, d]).standard_normal((14, d)))
+        expected = tie_graph(u)
+        pairs = list(expected)
+        oracle = coargmax_oracle_2d_pairs(u, pairs) if d == 2 else None
+        monkeypatch.setattr(geometry, "_CHUNK_BYTES", 1)
+        assert geometry._chunks(3, 14, d) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        graph = tie_graph(u)
+        assert list(graph) == pairs
+        for p, rep in expected.items():
+            assert _same_report(graph[p], rep) and graph[p].proof == rep.proof, p
+        if d == 2:
+            assert np.array_equal(coargmax_oracle_2d_pairs(u, pairs), oracle)
 
 
 class TestInflatedBounds:

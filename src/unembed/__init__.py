@@ -12,7 +12,6 @@ decided by a small linear program, cross-checked in 2D by an exact oracle.
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
-    LpIndeterminateError,
     ModelFormatError,
     ZeroVectorError,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "ExpectedValue",
     "FeasibilityReport",
     "LinearProgram",
-    "LpIndeterminateError",
     "LpSolution",
     "ModelFormatError",
     "NamedExample",

@@ -1,29 +1,29 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Dense phase-1 simplex for the feasibility systems the package builds.
 
-Problems are stated in maximize form over variables with per-variable bounds:
+A system is
 
-    maximize  c . x
-    s.t.      a_eq @ x  = b_eq
-              a_ge @ x >= b_ge
-              lower <= x <= upper      (entries may be -inf / +inf)
+    a_eq @ x = b_eq,    x >= 0 except where `free` is set,
 
-The solver converts to standard form (shift variables with a finite lower
-bound, split free variables into a nonnegative pair, turn finite upper bounds
-into slack rows, give >= rows a surplus variable), then runs the textbook
-two-phase tableau method:
+with a zero objective, so phase 1 decides it.  solve splits each free
+variable into a nonnegative pair, negates the rows with a negative rhs,
+gives every row an artificial column and minimizes their sum by the
+textbook tableau method:
 
   * Entering column: most negative reduced cost, ties to the lowest column
-    index (Dantzig).  After more than 2 * (rows + columns) degenerate pivots
-    within a phase, the rule switches to Bland's (lowest eligible index),
-    which guarantees termination.
+    index (Dantzig).  After more than 2 * (rows + columns) degenerate
+    pivots, the rule switches to Bland's (lowest eligible index), which
+    guarantees termination.
   * Leaving row: minimum ratio, ties to the lowest basic-variable index.
   * Pivot eligibility threshold: PIVOT_TOL = 1e-9.
   * Iteration cap: 10 * (rows + columns)^2 per solve; hitting it yields
     status "indeterminate", never a wrong verdict.
 
-When phase 1 proves the constraints infeasible, the solution carries the
-phase-1 duals, a Farkas certificate.  The pivot sequence is a pure function
-of the input, so identical problems produce bit-identical solutions.
+A sum of artificials left above PHASE1_TOL proves the system infeasible,
+and the solution carries the phase-1 duals, a Farkas certificate.
+Otherwise the leftover artificials are driven out of the basis and the
+vertex reached is the solution, once its residuals are checked.  The
+pivot sequence is a pure function of the input, so identical systems
+produce bit-identical solutions.
 
 The pair systems of coargmax_lp are decided as stacks: coargmax_phase1
 builds the tableaus of many pairs of one model at once and pivots them
@@ -49,86 +49,41 @@ PIVOT_TOL = 1e-9
 PHASE1_TOL = 1e-7
 
 
-def _as_matrix(a, b, n, name):
-    if a is None or (hasattr(a, "__len__") and len(a) == 0):
-        if b is not None and len(b):
-            raise ValueError(f"{name} rhs given without a matrix")
-        return np.zeros((0, n)), np.zeros(0)
-    if b is None:
-        raise ValueError(f"{name} matrix given without a rhs")
-    am = np.asarray(a, dtype=np.float64)
-    bm = np.asarray(b, dtype=np.float64)
-    if am.ndim != 2 or am.shape[1] != n:
-        raise ValueError(f"{name} must be a matrix with {n} columns")
-    if bm.shape != (am.shape[0],):
-        raise ValueError(f"{name} rhs length {bm.shape} != {am.shape[0]} rows")
-    if not (np.isfinite(am).all() and np.isfinite(bm).all()):
-        raise ValueError(f"{name} contains non-finite entries")
-    return am, bm
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """A maximize-form LP; constraint blocks may be omitted."""
+    """The system a_eq @ x = b_eq with x >= 0 except where the boolean
+    vector `free` is set.  The arrays are stored as read-only copies."""
 
-    objective: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ge: np.ndarray | None = None
-    b_ge: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    free: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=np.float64)
-        if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
-            raise ValueError("objective must be a finite 1-D vector")
-        n = c.shape[0]
-        a_eq, b_eq = _as_matrix(self.a_eq, self.b_eq, n, "a_eq")
-        a_ge, b_ge = _as_matrix(self.a_ge, self.b_ge, n, "a_ge")
-        lower = (
-            np.full(n, -np.inf)
-            if self.lower is None
-            else np.asarray(self.lower, dtype=np.float64).copy()
-        )
-        upper = (
-            np.full(n, np.inf)
-            if self.upper is None
-            else np.asarray(self.upper, dtype=np.float64).copy()
-        )
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError("bounds must have one entry per variable")
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise ValueError("bounds may be infinite but not NaN")
-        if (lower > upper).any():
-            raise ValueError("lower bound exceeds upper bound")
-        for attr, val in (
-            ("objective", c), ("a_eq", a_eq), ("b_eq", b_eq),
-            ("a_ge", a_ge), ("b_ge", b_ge), ("lower", lower), ("upper", upper),
-        ):
+        a = np.array(self.a_eq, dtype=np.float64)
+        b = np.array(self.b_eq, dtype=np.float64)
+        free = np.array(self.free, dtype=bool)
+        if a.ndim != 2 or b.shape != a.shape[:1] or free.shape != a.shape[1:]:
+            raise ValueError("need an (m, n) a_eq, m rhs entries and n free flags")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("a_eq and b_eq must be finite")
+        for attr, val in (("a_eq", a), ("b_eq", b), ("free", free)):
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
-
-    @property
-    def n(self) -> int:
-        return self.objective.shape[0]
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """status is one of optimal | infeasible | unbounded | indeterminate;
-    x and objective are filled only when optimal.
+    """status is one of optimal | infeasible | indeterminate; x is filled
+    only when optimal.
 
     duals is filled only when infeasible: the phase-1 dual vector y, one
-    entry per constraint row in original orientation (the a_eq rows, the
-    a_ge rows, then one row per finite upper bound).  It is a Farkas
-    certificate up to the pivot tolerance: y . b > 0 while y . A_col <= 0
-    for every nonnegative standard-form column.
+    entry per row of a_eq.  It is a Farkas certificate up to the pivot
+    tolerance: y . b_eq > 0, while y . a_col <= 0 for the column of every
+    nonnegative variable and y . a_col = 0 for that of every free one.
     """
 
     status: str
     x: np.ndarray | None
-    objective: float | None
     iterations: int
     duals: np.ndarray | None = None
 
@@ -143,33 +98,33 @@ def _pivot(t: np.ndarray, row: int, col: int) -> None:
 
 
 def _bland_after(rows: int, cols: int) -> int:
-    """Degenerate pivots of one phase after which pricing turns to Bland."""
+    """Degenerate pivots after which pricing turns to Bland."""
     return 2 * (rows + cols)
 
 
 def _iteration_cap(rows: int, cols: int) -> int:
-    """The default iteration cap of a solve, both phases together."""
+    """The iteration cap of a solve."""
     return 10 * (rows + cols) ** 2
 
 
-def _run_phase(t, basis, cost, allowed, max_iter, iteration_start):
-    """Minimize cost over the current tableau.  Returns (outcome, iterations)
-    where outcome is 'optimal', 'unbounded', or 'cap'."""
+def _run_phase1(t, basis, ncols: int, max_iter: int) -> tuple[bool, int]:
+    """Minimize the sum of the artificials (the columns from ncols on, all
+    basic at the start) over the tableau t.  Returns (ended, iterations);
+    ended is False when the cap was hit or no row could leave, which a sum
+    of nonnegatives never allows."""
     m = basis.shape[0]
-    ncols = t.shape[1] - 1
+    total = t.shape[1] - 1
+    cost = np.where(np.arange(total) < ncols, 0.0, 1.0)
     # reduced-cost row
-    t[m, :ncols] = cost - cost[basis] @ t[:m, :ncols]
-    t[m, ncols] = -(cost[basis] @ t[:m, ncols])
-    bland_after = _bland_after(m, ncols)
-    degenerate_pivots = 0
-    iterations = iteration_start
-    while True:
-        if iterations >= max_iter:
-            return "cap", iterations
+    t[m, :total] = cost - cost[basis] @ t[:m, :total]
+    t[m, total] = -(cost[basis] @ t[:m, total])
+    bland_after = _bland_after(m, total)
+    degenerate_pivots = iterations = 0
+    while iterations < max_iter:
         reduced = t[m, :ncols]
-        eligible = np.flatnonzero(allowed & (reduced < -PIVOT_TOL))
+        eligible = np.flatnonzero(reduced < -PIVOT_TOL)
         if eligible.size == 0:
-            return "optimal", iterations
+            return True, iterations
         if degenerate_pivots > bland_after:
             col = int(eligible[0])  # Bland: lowest eligible index
         else:
@@ -178,191 +133,85 @@ def _run_phase(t, basis, cost, allowed, max_iter, iteration_start):
         pivot_col = t[:m, col]
         rows = np.flatnonzero(pivot_col > PIVOT_TOL)
         if rows.size == 0:
-            return "unbounded", iterations
-        ratios = t[rows, ncols] / pivot_col[rows]
+            return False, iterations
+        ratios = t[rows, total] / pivot_col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
         row = int(tied[np.argmin(basis[tied])])
-        if t[row, ncols] / t[row, col] <= PIVOT_TOL:
+        if t[row, total] / t[row, col] <= PIVOT_TOL:
             degenerate_pivots += 1
         _pivot(t, row, col)
         basis[row] = col
         iterations += 1
+    return False, iterations
 
 
-def _columns(lp: LinearProgram):
-    """(offset, first, free): x = offset + xhat[first], minus
-    xhat[first + 1] for a free variable (split into a nonnegative pair)."""
-    free = ~np.isfinite(lp.lower)
-    offset = np.where(free, 0.0, lp.lower)
+def _columns(free):
+    """(first, ncols): x = xhat[first], minus xhat[first + 1] for a free
+    variable (split into a nonnegative pair), over ncols tableau columns."""
     width = np.where(free, 2, 1)
-    first = np.cumsum(width) - width  # first standard-form column per variable
-    return offset, first, free
+    return np.cumsum(width) - width, int(width.sum())
 
 
-def _standard_form(lp: LinearProgram):
-    """(mat, rhs, offset, first, free), with offset, first and free as in
-    _columns.  The columns of mat are the structural ones, one surplus per
-    >= row, then one slack per finite upper bound; its rows are the a_eq
-    rows, the a_ge rows, then one bound row per finite upper bound."""
-    me, mi = lp.a_eq.shape[0], lp.a_ge.shape[0]
-    offset, first, free = _columns(lp)
-    ncols = first.size + int(free.sum())
-    bounded = np.flatnonzero(np.isfinite(lp.upper))
-    nb = bounded.size
-
-    mat = np.zeros((me + mi + nb, ncols + mi + nb))
-    rhs = np.zeros(me + mi + nb)
-    a_all = np.vstack([lp.a_eq, lp.a_ge])
-    mat[: me + mi, first] += a_all
-    mat[: me + mi, first[free] + 1] += -1.0 * a_all[:, free]
-    if me:
-        rhs[:me] = lp.b_eq - lp.a_eq @ offset
-    if mi:
-        rhs[me : me + mi] = lp.b_ge - lp.a_ge @ offset
-        mat[me + np.arange(mi), ncols + np.arange(mi)] = -1.0  # surplus
-    rows = me + mi + np.arange(nb)
-    mat[rows, first[bounded]] = 1.0
-    free_bounded = free[bounded]
-    mat[rows[free_bounded], first[bounded[free_bounded]] + 1] = -1.0
-    mat[rows, ncols + mi + np.arange(nb)] = 1.0  # slack
-    hi, lo = lp.upper[bounded], lp.lower[bounded]
-    rhs[rows] = np.where(free_bounded, hi, hi - lo)
-    return mat, rhs, offset, first, free
+def solve(lp: LinearProgram) -> LpSolution:
+    """Decide a LinearProgram; see the module docstring for the algorithm."""
+    free = lp.free
+    m = lp.b_eq.shape[0]
+    first, ncols = _columns(free)
+    total = ncols + m
+    tab = np.zeros((m + 1, total + 1))
+    tab[:m, first] = lp.a_eq
+    tab[:m, first[free] + 1] = -lp.a_eq[:, free]
+    tab[:m, total] = lp.b_eq
+    neg = lp.b_eq < 0.0  # rows negated so that the rhs is >= 0
+    tab[:m][neg] *= -1.0
+    tab[np.arange(m), ncols + np.arange(m)] = 1.0
+    basis = ncols + np.arange(m)
+    ended, iterations = _run_phase1(tab, basis, ncols, _iteration_cap(m, total))
+    if not ended:
+        return LpSolution("indeterminate", None, iterations)
+    if -tab[m, total] > PHASE1_TOL:
+        return _farkas(tab[m, ncols:total], neg, iterations)
+    return _finish(lp.a_eq, lp.b_eq, free, tab, basis, ncols, iterations)
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Solve a LinearProgram; see the module docstring for the algorithm."""
-    me = lp.a_eq.shape[0]
-    mi = lp.a_ge.shape[0]
-    mat, rhs, _, _, _ = _standard_form(lp)
-    m, ncols_all = mat.shape
-    nb = m - me - mi
-    ncols = ncols_all - mi - nb  # structural columns
-
-    # normalize rhs >= 0
-    neg = rhs < 0.0
-    mat[neg] *= -1.0
-    rhs[neg] = -rhs[neg]
-
-    # seed the basis with unit slack/surplus columns where possible (a
-    # surplus column is +1 only in a negated row)
-    basis = np.full(m, -1, dtype=np.int64)
-    rows = np.arange(me, m)
-    cols = ncols + np.arange(mi + nb)
-    unit = mat[rows, cols] == 1.0
-    basis[rows[unit]] = cols[unit]
-
-    art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    total_cols = ncols_all + n_art
-    tab = np.zeros((m + 1, total_cols + 1))
-    tab[:m, :ncols_all] = mat
-    tab[:m, total_cols] = rhs
-    tab[art_rows, ncols_all + np.arange(n_art)] = 1.0
-    basis[art_rows] = ncols_all + np.arange(n_art)
-    unit_cols = basis.copy()  # the identity block the tableau started from
-
-    if max_iterations is None:
-        max_iterations = _iteration_cap(m, total_cols)
-    iterations = 0
-
-    if n_art:
-        cost1 = np.zeros(total_cols)
-        cost1[ncols_all:] = 1.0
-        structural = np.arange(total_cols) < ncols_all
-        outcome, iterations = _run_phase(
-            tab, basis, cost1, structural, max_iterations, iterations
-        )
-        # "cap", or "unbounded", which a sum of nonnegatives never is
-        if outcome != "optimal":
-            return LpSolution("indeterminate", None, None, iterations)
-        if -tab[m, total_cols] > PHASE1_TOL:
-            return _farkas(cost1[unit_cols], tab[m, unit_cols], neg, iterations)
-    return _finish(lp, tab, basis, ncols_all, max_iterations, iterations)
-
-
-def _farkas(unit_cost, unit_reduced, neg, iterations) -> LpSolution:
+def _farkas(reduced, neg, iterations) -> LpSolution:
     """The infeasible verdict of a phase 1 that ended with a positive sum
-    of artificials.  y = c_B B^-1 is the starting unit columns' cost minus
-    their reduced cost; negated rows flip back to original orientation."""
-    duals = unit_cost - unit_reduced
+    of artificials.  y = c_B B^-1 is the artificials' cost 1 minus their
+    reduced cost; negated rows flip back to original orientation."""
+    duals = 1.0 - reduced
     duals[neg] *= -1.0
     duals.setflags(write=False)
-    return LpSolution("infeasible", None, None, iterations, duals)
+    return LpSolution("infeasible", None, iterations, duals)
 
 
-def _finish(lp: LinearProgram, tab, basis, ncols_all: int,
-            max_iterations: int, iterations: int) -> LpSolution:
-    """The tail of a solve whose phase 1 ended feasible (or was not
-    needed): drive leftover artificials (the columns from ncols_all on) out
-    of the basis, dropping redundant rows, run phase 2 on the structural
-    columns, and check the residuals of the vertex found."""
+def _finish(a_eq, b_eq, free, tab, basis, ncols: int,
+            iterations: int) -> LpSolution:
+    """The tail of a solve whose phase 1 ended feasible: drive leftover
+    artificials (the columns from ncols on) out of the basis where a row
+    is not redundant, read x off the vertex reached and check its
+    residuals."""
     m = basis.shape[0]
-    total_cols = tab.shape[1] - 1
-    structural = np.arange(total_cols) < ncols_all
-    drop: list[int] = []
-    for row in range(m):
-        if basis[row] < ncols_all:
-            continue
-        candidates = np.flatnonzero(
-            structural & (np.abs(tab[row, :total_cols]) > PIVOT_TOL)
-        )
+    for row in np.flatnonzero(basis >= ncols):
+        candidates = np.flatnonzero(np.abs(tab[row, :ncols]) > PIVOT_TOL)
         if candidates.size:
             _pivot(tab, row, int(candidates[0]))
             basis[row] = int(candidates[0])
-        else:
-            drop.append(row)
-    if drop:
-        keep = np.setdiff1d(np.arange(m), np.asarray(drop))
-        tab = np.vstack([tab[keep], tab[m:]])
-        basis = basis[keep]
-        m = basis.shape[0]
 
-    # phase 2: minimize the negated objective over structural columns.  A
-    # zero objective (every system the package builds) prices no column,
-    # so below the cap the vertex phase 1 ended on is optimal as it stands.
-    offset, first, free = _columns(lp)
-    if lp.objective.any() or iterations >= max_iterations:
-        cost2 = np.zeros(total_cols)
-        cost2[first] += -lp.objective
-        cost2[first[free] + 1] += lp.objective[free]
-        outcome, iterations = _run_phase(
-            tab, basis, cost2, structural, max_iterations, iterations
-        )
-        if outcome == "cap":
-            return LpSolution("indeterminate", None, None, iterations)
-        if outcome == "unbounded":
-            return LpSolution("unbounded", None, None, iterations)
-
-    xhat = np.zeros(total_cols)
-    xhat[basis] = tab[:m, total_cols]
-    x = offset + xhat[first]
+    xhat = np.zeros(tab.shape[1] - 1)
+    xhat[basis] = tab[:m, -1]
+    first, _ = _columns(free)
+    x = 0.0 + xhat[first]  # a -0.0 in xhat reads 0.0
     x[free] += -1.0 * xhat[first[free] + 1]
 
     # defensive residual check: downgrade rather than return a bad vertex
-    me, mi = lp.a_eq.shape[0], lp.a_ge.shape[0]
-    scale = 1.0 + max(
-        float(np.abs(lp.b_eq).max()) if me else 0.0,
-        float(np.abs(lp.b_ge).max()) if mi else 0.0,
-        float(np.abs(x).max()),
-    )
-    ok = True
-    if me and np.abs(lp.a_eq @ x - lp.b_eq).max() > 1e-9 * scale:
-        ok = False
-    if mi and (lp.b_ge - lp.a_ge @ x).max() > 1e-9 * scale:
-        ok = False
-    finite_lo = np.isfinite(lp.lower)
-    finite_hi = np.isfinite(lp.upper)
-    if (x[finite_lo] < lp.lower[finite_lo] - 1e-9 * scale).any():
-        ok = False
-    if (x[finite_hi] > lp.upper[finite_hi] + 1e-9 * scale).any():
-        ok = False
-    if not ok:
-        return LpSolution("indeterminate", None, None, iterations)
-
+    scale = 1.0 + max(float(np.abs(b_eq).max(initial=0.0)),
+                      float(np.abs(x).max(initial=0.0)))
+    if (np.abs(a_eq @ x - b_eq).max(initial=0.0) > 1e-9 * scale
+            or (x[~free] < -1e-9 * scale).any()):
+        return LpSolution("indeterminate", None, iterations)
     x.setflags(write=False)
-    return LpSolution("optimal", x, float(lp.objective @ x), iterations)
+    return LpSolution("optimal", x, iterations)
 
 
 def pow2_exponent(vectors) -> int:
@@ -386,8 +235,7 @@ def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
     theorem that is exactly when no f has f.g_i = f.g_j > f.g_k for every
     other k, i.e. when the pair cannot tie.  When phase 1 ends infeasible,
     its duals (f, c) satisfy f.g_k + c <= 0 < f.g_i + c and
-    f.(g_j - g_i) = 0: f is a tie witness.  The objective is zero, so
-    phase 1 decides everything.
+    f.(g_j - g_i) = 0: f is a tie witness.
 
     The model is first divided by 2**pow2_exponent(g).  That is exact, so
     no verdict changes, and it makes the system the same for every
@@ -396,7 +244,7 @@ def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
     """
     g = unembeddings.vectors
     _check_pairs(g.shape[0], [(i, j)])
-    return _coargmax_system(np.ldexp(g, -pow2_exponent(g)), i, j)
+    return LinearProgram(*_coargmax_system(np.ldexp(g, -pow2_exponent(g)), i, j))
 
 
 def _check_pairs(k: int, pairs) -> None:
@@ -407,17 +255,17 @@ def _check_pairs(k: int, pairs) -> None:
             raise IndexError(f"label indices ({i}, {j}) out of range for k={k}")
 
 
-def _coargmax_system(g, i: int, j: int) -> LinearProgram:
-    """coargmax_lp's system on the rescaled model g."""
+def _coargmax_system(g, i: int, j: int):
+    """coargmax_lp's (a_eq, b_eq, free) on the rescaled model g."""
     k, d = g.shape
     others = [m for m in range(k) if m not in (i, j)]
     a_eq = np.zeros((d + 1, k - 1))
     a_eq[:d, :-1] = g[others].T
     a_eq[:d, -1] = g[i] - g[j]
     a_eq[d, :-1] = 1.0
-    b_eq = np.append(g[i], 1.0)
-    lower = np.append(np.zeros(k - 2), -np.inf)
-    return LinearProgram(np.zeros(k - 1), a_eq, b_eq, lower=lower)
+    free = np.zeros(k - 1, dtype=bool)
+    free[-1] = True
+    return a_eq, np.append(g[i], 1.0), free
 
 
 # Bytes of pair tableaus that coargmax_phase1 pivots together (at least
@@ -438,7 +286,7 @@ def coargmax_phase1(unembeddings, pairs) -> list[LpSolution]:
     basic index, Bland's rule after too many degenerate pivots of that
     tableau, and the iteration cap.  A tableau leaves the stack when its
     phase 1 ends; one that ends feasible finishes through solve's own
-    tail (drive-out, phase 2 and residual check)."""
+    tail (drive-out and residual check)."""
     g = unembeddings.vectors
     k, d = g.shape
     pairs = [(int(i), int(j)) for i, j in pairs]
@@ -481,8 +329,8 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
     t[:, np.arange(m), k + np.arange(m)] = 1.0
     basis = k + np.arange(m) + np.zeros((n, 1), dtype=np.intp)
 
-    # phase 1 as in _run_phase, with cost 1 on the artificials.  The
-    # stacked matmul makes the BLAS call of _run_phase's cost[basis] @ t
+    # phase 1 as in _run_phase1, with cost 1 on the artificials.  The
+    # stacked matmul makes the BLAS call of _run_phase1's cost[basis] @ t
     # once per tableau, so the sums round alike.
     ones = np.ones((n, 1, m))  # cost[basis] of the artificial start
     cost = np.where(np.arange(total) < k, 0.0, 1.0)
@@ -500,8 +348,7 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
         while live:
             if iterations >= max_iterations:
                 for s in range(live):
-                    out[lp_of[s]] = LpSolution("indeterminate", None, None,
-                                               iterations)
+                    out[lp_of[s]] = LpSolution("indeterminate", None, iterations)
                 break
             tl, at = t[:live], slots[:live]
             reduced = tl[:, m, :k]
@@ -522,13 +369,12 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
             ended = (~(eligible.any(axis=1) & positive.any(axis=1))).nonzero()[0]
             for s in ended[::-1]:
                 if eligible[s].any():  # unbounded: not for a sum of >= 0
-                    sol = LpSolution("indeterminate", None, None, iterations)
+                    sol = LpSolution("indeterminate", None, iterations)
                 elif -t[s, m, total] > PHASE1_TOL:
-                    sol = _farkas(1.0, t[s, m, k:total], neg[s], iterations)
+                    sol = _farkas(t[s, m, k:total], neg[s], iterations)
                 else:
-                    sol = _finish(_coargmax_system(g, *pairs[lp_of[s]]),
-                                  t[s].copy(), basis[s].copy(), k,
-                                  max_iterations, iterations)
+                    sol = _finish(*_coargmax_system(g, *pairs[lp_of[s]]),
+                                  t[s].copy(), basis[s].copy(), k, iterations)
                 out[lp_of[s]] = sol
                 live -= 1
                 for state in (t, basis, neg, degenerate, lp_of, col, row,
@@ -572,4 +418,4 @@ def hull_lp(unembeddings, i: int) -> LinearProgram:
     g = np.ldexp(g, -pow2_exponent(g))
     a_eq = np.vstack([np.delete(g, i, axis=0).T, np.ones(k - 1)])
     b_eq = np.append(g[i], 1.0)
-    return LinearProgram(np.zeros(k - 1), a_eq, b_eq, lower=np.zeros(k - 1))
+    return LinearProgram(a_eq, b_eq, np.zeros(k - 1, dtype=bool))

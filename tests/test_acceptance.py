@@ -209,7 +209,8 @@ def test_criterion_6_lp_matches_exact_oracle():
             for j in range(i + 1, k):
                 pairs += 1
                 rep = coargmax_feasible(u, i, j)
-                if rep.verdict in ("degenerate", "indeterminate"):
+                assert rep.verdict in ("feasible", "degenerate", "infeasible")
+                if rep.verdict == "degenerate":
                     degenerate += 1
                     continue
                 if rep.feasible != coargmax_oracle_2d(u, i, j):

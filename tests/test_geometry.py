@@ -240,6 +240,27 @@ class TestCoargmaxFeasible:
         scaled = scale_pair(centered.model, c).unembeddings
         assert tie_partners(scaled, 2) == {1, 3}
 
+    @given(arrays(np.float64, st.tuples(st.integers(2, 7), st.integers(1, 4)),
+                  elements=coord),
+           st.integers(-1000, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_graph_under_power_of_two_scale_pair(self, g, p):
+        # scale_pair by 2**p is exact while np.ldexp round-trips the
+        # vectors, and the LP's power-of-two rescale then sees the same
+        # system: every report must be identical, bit for bit
+        assume(np.array_equal(np.ldexp(np.ldexp(g, p), -p), g))
+        model = SoftmaxModel(_labelled(g))
+        graph = tie_graph(model.unembeddings)
+        scaled = tie_graph(scale_pair(model, 2.0 ** p).unembeddings)
+
+        def fields(rep):
+            witness = None if rep.witness is None else rep.witness.tobytes()
+            return rep.verdict, repr(rep.margin), witness, rep.proof, rep.lp_status
+
+        assert scaled.keys() == graph.keys()
+        for pair, rep in graph.items():
+            assert fields(scaled[pair]) == fields(rep), pair
+
     def test_duplicate_vectors_match_exact_fallback(self):
         # g_5 = g_2 and g_7 = g_1: the pair's line is undefined, so the
         # projection is skipped; each verdict must match exact phase 1
@@ -248,7 +269,7 @@ class TestCoargmaxFeasible:
         u = UnembeddingSet(tuple(f"l{m}" for m in range(8)), g)
         graph = tie_graph(u)
         for (i, j), rep in graph.items():
-            assert rep.verdict != "indeterminate"
+            assert rep.verdict in ("feasible", "degenerate", "infeasible")
             can_tie = _exact_phase1(g, i, j) is not None
             assert (rep.verdict != "infeasible") == can_tie, (i, j)
         assert graph[2, 5].verdict == "feasible"  # a hull vertex, twice
@@ -523,7 +544,8 @@ class TestLpOracleAgreement:
                 for j in range(i + 1, u.k):
                     pairs += 1
                     rep = coargmax_feasible(u, i, j)
-                    if rep.verdict in ("degenerate", "indeterminate"):
+                    assert rep.verdict in ("feasible", "degenerate", "infeasible")
+                    if rep.verdict == "degenerate":
                         degenerate += 1
                         continue
                     assert rep.feasible == coargmax_oracle_2d(u, i, j), (

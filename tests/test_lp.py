@@ -1,4 +1,5 @@
-"""Two-phase simplex solver: golden problems, random cross-checks, edge cases."""
+"""Phase-1 simplex solver: golden systems, HiGHS cross-checks, the stacked
+phase 1."""
 
 import numpy as np
 import pytest
@@ -9,229 +10,164 @@ from hypothesis.extra.numpy import arrays
 
 from unembed import LinearProgram, UnembeddingSet, coargmax_lp
 from unembed import lp as lp_module
-from unembed.lp import PIVOT_TOL, _standard_form, coargmax_phase1, hull_lp, solve
+from unembed.lp import PIVOT_TOL, coargmax_phase1, hull_lp, solve
 
 
 def _scipy_solve(lp: LinearProgram):
-    """Independent answer from scipy's HiGHS backend (minimize form)."""
-    constraints = []
-    if lp.a_ge.shape[0]:
-        constraints.append(
-            scipy.optimize.LinearConstraint(lp.a_ge, lb=lp.b_ge, ub=np.inf)
-        )
-    if lp.a_eq.shape[0]:
-        constraints.append(
-            scipy.optimize.LinearConstraint(lp.a_eq, lb=lp.b_eq, ub=lp.b_eq)
-        )
-    res = scipy.optimize.milp(
-        c=-lp.objective,
-        constraints=constraints,
-        bounds=scipy.optimize.Bounds(lb=lp.lower, ub=lp.upper),
-        integrality=np.zeros(lp.n),
+    """Independent answer from scipy's HiGHS backend: status 0 when the
+    system is feasible, 2 when it is not."""
+    n = lp.free.size
+    return scipy.optimize.milp(
+        c=np.zeros(n),
+        constraints=[scipy.optimize.LinearConstraint(lp.a_eq, lb=lp.b_eq, ub=lp.b_eq)],
+        bounds=scipy.optimize.Bounds(lb=np.where(lp.free, -np.inf, 0.0), ub=np.inf),
+        integrality=np.zeros(n),
     )
-    return res
+
+
+def _highs_status(lp: LinearProgram) -> str:
+    ref = _scipy_solve(lp)
+    assert ref.status in (0, 2)  # feasible or infeasible
+    return "optimal" if ref.status == 0 else "infeasible"
+
+
+def _assert_solves(lp: LinearProgram, sol):
+    """x solves the system, or the duals are a Farkas certificate."""
+    if sol.status == "optimal":
+        scale = 1.0 + max(np.abs(lp.b_eq).max(), np.abs(sol.x).max())
+        assert np.abs(lp.a_eq @ sol.x - lp.b_eq).max() <= 1e-9 * scale
+        assert np.all(sol.x[~lp.free] >= -1e-9 * scale)
+        assert sol.duals is None
+    else:
+        assert sol.status == "infeasible" and sol.x is None
+        y = sol.duals
+        assert y @ lp.b_eq > 0.0
+        cols = y @ lp.a_eq
+        assert np.all(cols[~lp.free] <= PIVOT_TOL)  # x >= 0
+        assert np.all(np.abs(cols[lp.free]) <= PIVOT_TOL)  # x free
 
 
 class TestGoldenProblems:
-    def test_simple_box_maximum(self):
-        # max x subject to x <= 5
-        lp = LinearProgram([1.0], lower=[0.0], upper=[5.0])
-        sol = solve(lp)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(5.0, abs=1e-9)
-
-    def test_free_variable_with_upper_bound(self):
-        # max t subject to t <= -1, t free below
-        lp = LinearProgram([1.0], lower=[-np.inf], upper=[-1.0])
-        sol = solve(lp)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(-1.0, abs=1e-9)
-
-    def test_two_variable_classic(self):
-        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (optimum 36)
-        lp = LinearProgram(
-            [3.0, 5.0],
-            a_ge=[[-1.0, 0.0], [0.0, -2.0], [-3.0, -2.0]],
-            b_ge=[-4.0, -12.0, -18.0],
-            lower=[0.0, 0.0],
-        )
-        sol = solve(lp)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(36.0, abs=1e-9)
-        np.testing.assert_allclose(sol.x, [2.0, 6.0], atol=1e-9)
-
-    def test_infeasible_detected(self):
-        # x >= 2 and x <= 1 cannot hold together
-        lp = LinearProgram([1.0], a_ge=[[1.0]], b_ge=[2.0],
-                           lower=[0.0], upper=[1.0])
-        assert solve(lp).status == "infeasible"
-
-    def test_unbounded_detected(self):
-        lp = LinearProgram([1.0], lower=[0.0])
-        assert solve(lp).status == "unbounded"
-
     def test_equality_constraints(self):
-        # max x + y s.t. x + y = 3, x - y = 1 -> unique point (2, 1)
-        lp = LinearProgram(
-            [1.0, 1.0],
-            a_eq=[[1.0, 1.0], [1.0, -1.0]],
-            b_eq=[3.0, 1.0],
-            lower=[0.0, 0.0],
-        )
+        # x + y = 3, x - y = 1 -> the unique point (2, 1)
+        lp = LinearProgram([[1.0, 1.0], [1.0, -1.0]], [3.0, 1.0], [False, False])
         sol = solve(lp)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-9)
 
-    def test_degenerate_cycling_guard(self):
-        # Beale's classic cycling example; Dantzig's rule alone cycles on
-        # it, the anti-cycling switch must terminate at optimum 0.05
-        lp = LinearProgram(
-            [0.75, -150.0, 0.02, -6.0],
-            a_ge=[
-                [-0.25, 60.0, 0.04, -9.0],
-                [-0.5, 90.0, 0.02, -3.0],
-                [0.0, 0.0, -1.0, 0.0],
-            ],
-            b_ge=[0.0, 0.0, -1.0],
-            lower=[0.0, 0.0, 0.0, 0.0],
-        )
-        # constraint rows above are the >=-form of 0.25x1 - 60x2 - 0.04x3
-        # + 9x4 <= 0 etc.
+    def test_free_variable_with_upper_bound(self):
+        # t + r = -1 with t free and the slack r >= 0, i.e. t <= -1: the
+        # row is negated and t split into a nonnegative pair
+        lp = LinearProgram([[1.0, 1.0]], [-1.0], [True, False])
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(0.05, abs=1e-9)
+        assert sol.x[0] <= -1.0
+        _assert_solves(lp, sol)
 
-    def test_negative_lower_bounds(self):
-        # max x + y over the box [-3, -1] x [-2, 5]
-        lp = LinearProgram([1.0, 1.0], lower=[-3.0, -2.0], upper=[-1.0, 5.0])
+    def test_infeasible_detected(self):
+        # x - s = 2 and x + r = 1 with x, s, r >= 0: x >= 2 and x <= 1
+        lp = LinearProgram([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]], [2.0, 1.0],
+                           [False, False, False])
+        sol = solve(lp)
+        assert sol.status == "infeasible"
+        _assert_solves(lp, sol)
+
+    def test_redundant_row(self):
+        # the second row repeats the first: its artificial stays basic
+        lp = LinearProgram([[1.0, 2.0], [1.0, 2.0]], [2.0, 2.0], [False, False])
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(4.0, abs=1e-9)
+        _assert_solves(lp, sol)
+
+    def test_negative_zero_reads_zero(self):
+        # a -0.0 in the rhs must not come back as a -0.0 in x
+        sol = solve(LinearProgram([[1.0, 1.0], [0.0, 1.0]], [1.0, -0.0],
+                                  [False, False]))
+        assert sol.status == "optimal"
+        assert sol.x.tobytes() == np.array([1.0, 0.0]).tobytes()
+
+    def test_degenerate_cycling_guard(self, monkeypatch):
+        # Bland's rule from the first degenerate pivot on, on every pair
+        # and hull system of a model with duplicate rows and a zero row:
+        # each solve must end below the cap with HiGHS's status
+        u = _labelled(_degenerate_model())
+        systems = ([coargmax_lp(u, i, j) for i, j in _ordered_pairs(u.k)]
+                   + [hull_lp(u, i) for i in range(u.k)])
+        dantzig = [solve(lp).iterations for lp in systems]
+        monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)
+        bland = []
+        for lp in systems:
+            sol = solve(lp)
+            m, n = lp.a_eq.shape
+            assert sol.iterations < lp_module._iteration_cap(
+                m, n + int(lp.free.sum()) + m)
+            assert sol.status == _highs_status(lp)
+            _assert_solves(lp, sol)
+            bland.append(sol.iterations)
+        assert bland != dantzig  # the rule changed the pivot path
 
 
 class TestValidation:
     def test_matrix_without_rhs(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], a_ge=[[1.0]])
+            LinearProgram([[1.0, 2.0]], [], [False, False])
 
     def test_rhs_without_matrix(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], b_ge=[1.0])
-
-    def test_crossed_bounds(self):
-        with pytest.raises(ValueError):
-            LinearProgram([1.0], lower=[2.0], upper=[1.0])
-
-    def test_nan_objective(self):
-        with pytest.raises(ValueError):
-            LinearProgram([np.nan])
+            LinearProgram(np.zeros((0, 2)), [1.0], [False, False])
 
     def test_wrong_width(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0, 2.0], a_ge=[[1.0]], b_ge=[0.0])
+            LinearProgram([[1.0, 2.0]], [1.0], [False])
+
+    def test_not_a_matrix(self):
+        with pytest.raises(ValueError):
+            LinearProgram([1.0, 2.0], [1.0], [False, False])
+
+    def test_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                LinearProgram([[bad]], [1.0], [False])
+            with pytest.raises(ValueError):
+                LinearProgram([[1.0]], [bad], [False])
+
+    def test_arrays_are_read_only_copies(self):
+        a, b, free = np.ones((1, 2)), np.ones(1), np.array([False, True])
+        lp = LinearProgram(a, b, free)
+        a[0, 0] = b[0] = 5.0
+        free[0] = True
+        assert lp.a_eq.tolist() == [[1.0, 1.0]] and lp.b_eq.tolist() == [1.0]
+        assert lp.free.tolist() == [False, True]
+        for arr in (lp.a_eq, lp.b_eq, lp.free):
+            assert not arr.flags.writeable
 
 
 class TestAgainstScipy:
-    def _random_feasible_lp(self, rng, n, m):
-        """Random constraints arranged to keep a known point feasible, so
-        the instance is never infeasible by construction."""
-        x0 = rng.uniform(-2.0, 2.0, size=n)
-        a = rng.uniform(-3.0, 3.0, size=(m, n))
-        slack = rng.uniform(0.1, 2.0, size=m)
-        b = a @ x0 - slack  # a x0 >= b holds strictly
-        lower = x0 - rng.uniform(0.5, 3.0, size=n)
-        upper = x0 + rng.uniform(0.5, 3.0, size=n)
-        c = rng.uniform(-1.0, 1.0, size=n)
-        return LinearProgram(c, a_ge=a, b_ge=b, lower=lower, upper=upper)
+    @staticmethod
+    def _random_systems(rng, count):
+        """Random systems; half of them feasible by construction, the rest
+        with a random rhs."""
+        for _ in range(count):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            a = rng.uniform(-3.0, 3.0, (m, n))
+            free = rng.random(n) < 0.3
+            if rng.random() < 0.5:
+                b = a @ (rng.uniform(0.0, 2.0, n) - 2.0 * free)
+            else:
+                b = rng.uniform(-3.0, 3.0, m)
+            yield LinearProgram(a, b, free)
 
     def test_random_instances_match_scipy(self, rng):
-        for trial in range(60):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 8))
-            lp = self._random_feasible_lp(rng, n, m)
-            sol = solve(lp)
-            ref = _scipy_solve(lp)
-            assert sol.status == "optimal", f"trial {trial}: {sol.status}"
-            assert ref.status == 0
-            assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
+        for trial, lp in enumerate(self._random_systems(rng, 100)):
+            assert solve(lp).status == _highs_status(lp), f"trial {trial}"
 
     def test_solution_satisfies_constraints(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 8))
-            lp = self._random_feasible_lp(rng, n, m)
+        statuses = set()
+        for lp in self._random_systems(rng, 100):
             sol = solve(lp)
-            assert sol.status == "optimal"
-            x = sol.x
-            assert np.all(lp.a_ge @ x >= lp.b_ge - 1e-8)
-            assert np.all(x >= lp.lower - 1e-9)
-            assert np.all(x <= lp.upper + 1e-9)
-
-
-def _standard_form_loop(lp: LinearProgram):
-    """Reference: the per-variable loop that _standard_form vectorizes."""
-    n, me, mi = lp.n, lp.a_eq.shape[0], lp.a_ge.shape[0]
-    offset = np.zeros(n)
-    var_cols, bound_rows, ncols = [], [], 0
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if np.isfinite(lo):
-            offset[j] = lo
-            var_cols.append([(ncols, 1.0)])
-            ncols += 1
-            if np.isfinite(hi):
-                bound_rows.append((j, hi - lo))
-        else:
-            var_cols.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
-            if np.isfinite(hi):
-                bound_rows.append((j, hi))
-    nb = len(bound_rows)
-    mat = np.zeros((me + mi + nb, ncols + mi + nb))
-    rhs = np.zeros(me + mi + nb)
-    for j in range(n):
-        for col, sign in var_cols[j]:
-            if me:
-                mat[:me, col] += sign * lp.a_eq[:, j]
-            if mi:
-                mat[me : me + mi, col] += sign * lp.a_ge[:, j]
-    if me:
-        rhs[:me] = lp.b_eq - lp.a_eq @ offset
-    if mi:
-        rhs[me : me + mi] = lp.b_ge - lp.a_ge @ offset
-        for i in range(mi):
-            mat[me + i, ncols + i] = -1.0
-    for t, (j, ub_rhs) in enumerate(bound_rows):
-        for col, sign in var_cols[j]:
-            mat[me + mi + t, col] = sign
-        mat[me + mi + t, ncols + mi + t] = 1.0
-        rhs[me + mi + t] = ub_rhs
-    return mat, rhs, offset, var_cols
-
-
-class TestStandardForm:
-    def test_matches_loop_reference_bit_for_bit(self, rng):
-        for _ in range(300):
-            n, me, mi = (int(v) for v in rng.integers((1, 0, 0), (7, 3, 5)))
-            lower = np.where(rng.random(n) < 0.4, -np.inf, rng.uniform(-3, 1, n))
-            upper = np.where(rng.random(n) < 0.4, np.inf, rng.uniform(1, 4, n))
-            lp = LinearProgram(
-                rng.uniform(-1, 1, n),
-                rng.uniform(-3, 3, (me, n)) if me else None,
-                rng.uniform(-3, 3, me) if me else None,
-                rng.uniform(-3, 3, (mi, n)) if mi else None,
-                rng.uniform(-3, 3, mi) if mi else None,
-                lower, upper,
-            )
-            mat, rhs, offset, first, free = _standard_form(lp)
-            ref_mat, ref_rhs, ref_offset, var_cols = _standard_form_loop(lp)
-            for got, want in ((mat, ref_mat), (rhs, ref_rhs), (offset, ref_offset)):
-                assert got.shape == want.shape
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert var_cols == [
-                [(int(c), 1.0)] + ([(int(c) + 1, -1.0)] if f else [])
-                for c, f in zip(first, free)
-            ]
+            _assert_solves(lp, sol)
+            statuses.add(sol.status)
+        assert statuses == {"optimal", "infeasible"}
 
 
 class TestDeterminism:
@@ -242,24 +178,20 @@ class TestDeterminism:
         assert first.status == second.status
         assert first.iterations == second.iterations
         np.testing.assert_array_equal(first.x, second.x)
-        assert first.objective == second.objective
 
-    def test_iteration_cap_yields_indeterminate(self, centered):
-        u = centered.model.unembeddings
-        sol = solve(coargmax_lp(u, 2, 1), max_iterations=1)
-        assert sol.status == "indeterminate"
+    def test_iteration_cap_yields_indeterminate(self, centered, monkeypatch):
+        monkeypatch.setattr(lp_module, "_iteration_cap", lambda rows, cols: 1)
+        sol = solve(coargmax_lp(centered.model.unembeddings, 2, 1))
+        assert (sol.status, sol.iterations) == ("indeterminate", 1)
 
 
 class TestCoargmaxLp:
     def test_program_shape(self, centered):
         u = centered.model.unembeddings
         lp = coargmax_lp(u, 2, 4)
-        assert lp.n == u.k - 1  # weights on the other labels plus s
+        # weights >= 0 on the other labels, then the free s
         assert lp.a_eq.shape == (u.d + 1, u.k - 1)
-        assert lp.a_ge.shape == (0, u.k - 1)
-        assert np.all(lp.objective == 0.0)  # phase 1 decides everything
-        assert np.all(lp.lower[:-1] == 0.0) and lp.lower[-1] == -np.inf
-        assert np.all(lp.upper == np.inf)
+        assert lp.free.tolist() == [False] * (u.k - 2) + [True]
         # the model is divided by the power of two 2**1 (max |g| = 1.4)
         np.testing.assert_array_equal(lp.b_eq, np.append(u.vector(2) / 2, 1.0))
         np.testing.assert_array_equal(lp.a_eq[:2, -1], (u.vector(2) - u.vector(4)) / 2)
@@ -285,14 +217,7 @@ class TestCoargmaxLp:
             for i in range(u.k):
                 for j in range(i + 1, u.k):
                     lp = coargmax_lp(u, i, j)
-                    sol = solve(lp)
-                    if sol.status != "infeasible":
-                        assert sol.duals is None
-                        continue
-                    y = sol.duals
-                    assert y @ lp.b_eq > 0.0
-                    assert np.all(y @ lp.a_eq[:, :-1] <= PIVOT_TOL)  # mu >= 0
-                    assert abs(y @ lp.a_eq[:, -1]) <= PIVOT_TOL  # s free
+                    _assert_solves(lp, solve(lp))
 
     def test_statuses_match_scipy(self, centered, unrestricted):
         for ex in (centered, unrestricted):
@@ -300,20 +225,16 @@ class TestCoargmaxLp:
             for i in range(u.k):
                 for j in range(i + 1, u.k):
                     lp = coargmax_lp(u, i, j)
-                    sol = solve(lp)
-                    ref = _scipy_solve(lp)
-                    assert ref.status in (0, 2)  # optimal or infeasible
-                    assert sol.status == ("optimal" if ref.status == 0
-                                          else "infeasible")
+                    assert solve(lp).status == _highs_status(lp)
 
 
 class TestHullLp:
     def test_program_shape(self, centered):
         u = centered.model.unembeddings
         lp = hull_lp(u, 2)
-        assert lp.n == u.k - 1  # weights on every other label, no s
+        # weights >= 0 on every other label, no s
         assert lp.a_eq.shape == (u.d + 1, u.k - 1)
-        assert np.all(lp.objective == 0.0) and np.all(lp.lower == 0.0)
+        assert not lp.free.any()
         # the same power-of-two rescale as coargmax_lp (max |g| = 1.4)
         np.testing.assert_array_equal(lp.b_eq, np.append(u.vector(2) / 2, 1.0))
         np.testing.assert_array_equal(lp.a_eq[:2, 2], u.vector(3) / 2)
@@ -330,10 +251,14 @@ class TestHullLp:
             u = UnembeddingSet(tuple(f"l{m}" for m in range(k)), g)
             for i in range(k):
                 lp = hull_lp(u, i)
-                ref = _scipy_solve(lp)
-                assert ref.status in (0, 2)
-                assert solve(lp).status == ("optimal" if ref.status == 0
-                                            else "infeasible")
+                assert solve(lp).status == _highs_status(lp)
+
+
+def _degenerate_model():
+    g = np.random.default_rng(12).standard_normal((10, 3))
+    g[[4, 7]] = g[1]
+    g[9] = 0.0
+    return g
 
 
 def _labelled(g):
@@ -347,8 +272,7 @@ def _bits(v):
 
 
 def _fingerprint(sol):
-    return (sol.status, sol.iterations, _bits(sol.x), _bits(sol.objective),
-            _bits(sol.duals))
+    return (sol.status, sol.iterations, _bits(sol.x), _bits(sol.duals))
 
 
 def _ordered_pairs(k):
@@ -357,7 +281,7 @@ def _ordered_pairs(k):
 
 def _assert_matches_solve(g, pairs=None):
     """Every stacked solution equals solve(coargmax_lp(u, i, j)) bit for
-    bit: status, iterations, x, objective and duals."""
+    bit: status, iterations, x and duals."""
     u = _labelled(g)
     pairs = _ordered_pairs(u.k) if pairs is None else pairs
     stacked = coargmax_phase1(u, pairs)
@@ -450,9 +374,7 @@ class TestCoargmaxPhase1:
     def test_bland_rule_matches(self, monkeypatch):
         # Bland's rule from the first degenerate pivot on: the stack must
         # switch per tableau exactly when solve does
-        g = np.random.default_rng(12).standard_normal((10, 3))
-        g[[4, 7]] = g[1]
-        g[9] = 0.0
+        g = _degenerate_model()
         u, pairs = _labelled(g), _ordered_pairs(10)
         dantzig = [sol.iterations for sol in coargmax_phase1(u, pairs)]
         monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)

@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _read_names() -> set:
@@ -30,3 +33,12 @@ def test_traced_functions_are_public():
         fn = getattr(mod, attr)
         assert isinstance(fn, types.FunctionType), name
         assert fn.__module__ == mod.__name__, name
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's self-test traces a tiny workload: it fails when the
+    # hull LPs stop going through lp.solve, or when BENCHMARK.json and
+    # spans.PER_LAYER name different metrics
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

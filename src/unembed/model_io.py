@@ -29,6 +29,9 @@ import csv
 import json
 import math
 import os
+import re
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +52,7 @@ __all__ = [
 REPORT_KEYS = ("input", "transforms", "similarity", "feasibility", "equivalence")
 
 _FMT = "%.17g"
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -74,6 +78,19 @@ def _parse_float(text: str, where: str) -> float:
     if not math.isfinite(value):
         raise ModelFormatError(f"{where}: non-finite value: {text!r}")
     return value
+
+
+def _finite(cell) -> bool:
+    """math.isfinite, but False for an int too large for a double."""
+    try:
+        return math.isfinite(cell)
+    except OverflowError:
+        return False
+
+
+def _duplicates_message(path: str, labels) -> str:
+    dup = sorted(x for x, n in Counter(labels).items() if n > 1)
+    return f"{path}: duplicate labels: {dup}"
 
 
 def _read_vector_csv(path: str, id_column: str):
@@ -114,20 +131,25 @@ def _read_vector_csv(path: str, id_column: str):
                     f"{path}, line {lineno}: empty {id_column} name"
                 )
             names.append(name)
-            rows.append(
-                [
+            try:
+                values = list(map(float, row[1:]))
+            except ValueError:
+                values = None
+            # a sum is finite only if every term is; it may also overflow,
+            # and then the per-field loop below finds nothing wrong
+            if values is None or not math.isfinite(sum(values)):
+                values = [
                     _parse_float(text, f"{path}, line {lineno}, column {ci + 2}")
                     for ci, text in enumerate(row[1:])
                 ]
-            )
+            rows.append(values)
     return names, np.array(rows, dtype=np.float64).reshape(len(rows), d), d
 
 
 def _load_csv(path: str, embeddings_path: str | None) -> SoftmaxModel:
     labels, vectors, d = _read_vector_csv(path, "label")
     if len(labels) != len(set(labels)):
-        dup = sorted({x for x in labels if labels.count(x) > 1})
-        raise ModelFormatError(f"{path}: duplicate labels: {dup}")
+        raise ModelFormatError(_duplicates_message(path, labels))
     if len(labels) < 2:
         raise ModelFormatError(f"{path}: need at least 2 labels")
     try:
@@ -164,7 +186,7 @@ def _load_json(path: str) -> SoftmaxModel:
         f"{path}: unsupported version {data.get('version')!r}",
     )
     d = data.get("d")
-    _require(isinstance(d, int) and d >= 1, f"{path}: bad dimension field d")
+    _require(type(d) is int and d >= 1, f"{path}: bad dimension field d")
     labels = data.get("labels")
     _require(
         isinstance(labels, list)
@@ -172,11 +194,8 @@ def _load_json(path: str) -> SoftmaxModel:
         and all(isinstance(x, str) for x in labels),
         f"{path}: labels must be a list of at least 2 strings",
     )
-    _require(
-        len(set(labels)) == len(labels),
-        f"{path}: duplicate labels: "
-        f"{sorted({x for x in labels if labels.count(x) > 1})}",
-    )
+    if len(set(labels)) != len(labels):
+        raise ModelFormatError(_duplicates_message(path, labels))
 
     def _matrix(field: str, expected_rows: int | None):
         rows = data.get(field)
@@ -186,6 +205,18 @@ def _load_json(path: str) -> SoftmaxModel:
                 len(rows) == expected_rows,
                 f"{path}: {field} has {len(rows)} rows, expected {expected_rows}",
             )
+        if (
+            {*map(type, rows)} <= {list}
+            and {*map(len, rows)} <= {d}
+            and {*map(type, chain.from_iterable(rows))} <= {float, int}
+        ):
+            try:
+                matrix = np.array(rows, dtype=np.float64).reshape(len(rows), d)
+            except OverflowError:  # an int too large for a double
+                matrix = None
+            if matrix is not None and np.isfinite(matrix).all():
+                return matrix
+        # find the first error in file order and word it
         for ri, row in enumerate(rows):
             _require(
                 isinstance(row, list) and len(row) == d,
@@ -195,7 +226,7 @@ def _load_json(path: str) -> SoftmaxModel:
                 _require(
                     isinstance(cell, (int, float))
                     and not isinstance(cell, bool)
-                    and math.isfinite(cell),
+                    and _finite(cell),
                     f"{path}: {field}[{ri}][{ci}] is not a finite number",
                 )
         return np.array(rows, dtype=np.float64).reshape(len(rows), d)
@@ -223,11 +254,17 @@ def load_model(
 
 
 def _write_vector_csv(path: str, id_column: str, names, matrix: np.ndarray):
+    """CRLF rows; a name is quoted (by csv.writer) only if it needs it."""
+    d = matrix.shape[1]
+    line = "%s," + ",".join([_FMT] * d) + "\r\n"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([id_column] + [f"dim_{m}" for m in range(matrix.shape[1])])
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [_FMT % v for v in row])
+        writer.writerow([id_column] + [f"dim_{m}" for m in range(d)])
+        for name, row in zip(names, matrix.tolist()):
+            if _NEEDS_QUOTES.search(name):
+                writer.writerow([name] + [_FMT % v for v in row])
+            else:
+                handle.write(line % (name, *row))
 
 
 def save_model(
@@ -262,12 +299,10 @@ def save_model(
         "version": "1",
         "d": model.d,
         "labels": list(model.labels),
-        "unembeddings": [list(map(float, row)) for row in model.unembeddings.vectors],
+        "unembeddings": model.unembeddings.vectors.tolist(),
     }
     if model.embeddings.n:
-        payload["embeddings"] = [
-            list(map(float, row)) for row in model.embeddings.points
-        ]
+        payload["embeddings"] = model.embeddings.points.tolist()
     with open(path, "w") as handle:
         handle.write(json.dumps(payload, indent=2) + "\n")
     return written
@@ -299,14 +334,15 @@ def load_report(path: str) -> dict:
 
 
 def export_grid_csv(grid: RegionGrid, path: str) -> None:
-    """One row per cell (y-major, x within), header ``x,y,label_index``."""
-    xs_text = [repr(float(v)) for v in grid.x_centers]
-    ys_text = [repr(float(v)) for v in grid.y_centers]
-    labels = grid.labels
+    """One row per cell (y-major, x within), header ``x,y,label_index``.
+
+    Coordinates are shortest-repr floats; lines end in LF.  Each grid row
+    is joined and written once, so memory stays at one row of text.
+    """
+    xs = [x + "," for x in map(repr, grid.x_centers.tolist())]
     with open(path, "w", newline="") as handle:
         handle.write("x,y,label_index\n")
-        for iy, y in enumerate(ys_text):
-            row = labels[iy]
-            handle.writelines(
-                f"{x},{y},{row[ix]}\n" for ix, x in enumerate(xs_text)
-            )
+        for y, row in zip(map(repr, grid.y_centers.tolist()), grid.labels):
+            row = row.tolist()
+            tails = {label: f"{y},{label}\n" for label in set(row)}
+            handle.write("".join([x + tails[label] for x, label in zip(xs, row)]))

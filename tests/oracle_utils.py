@@ -1,13 +1,21 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is computed with mpmath at 50 significant digits so the
-package's float64 results can be judged against a source that shares none
-of its code paths.
+The numeric references are computed with mpmath at 50 significant digits so
+the package's float64 results can be judged against a source that shares
+none of its code paths.  The file-format references at the end are the
+plain per-field writers and reader that `unembed.model_io` must match byte
+for byte and bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+
 import mpmath
+import numpy as np
+
+from unembed import ModelFormatError
 
 mpmath.mp.dps = 50
 
@@ -67,3 +75,66 @@ def coargmax_bruteforce(vectors, i, j, samples=720, radii=(0.25, 1.0, 4.0)):
             if ok:
                 return [float(f[0]), float(f[1])]
     return None
+
+
+# --- file formats, one Python step per field ------------------------------
+
+def write_vector_csv_reference(path, id_column, names, matrix):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([id_column] + [f"dim_{m}" for m in range(matrix.shape[1])])
+        for name, row in zip(names, matrix):
+            writer.writerow([name] + ["%.17g" % v for v in row])
+
+
+def _parse_float(text, where):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ModelFormatError(f"{where}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{where}: non-finite value: {text!r}")
+    return value
+
+
+def read_vector_csv_reference(path, id_column):
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ModelFormatError(f"{path}: empty file") from None
+        if len(header) < 2 or header[0] != id_column:
+            raise ModelFormatError(
+                f"{path}, line 1: header must start with {id_column!r},dim_0,..."
+            )
+        d = len(header) - 1
+        expected = [id_column] + [f"dim_{m}" for m in range(d)]
+        if header != expected:
+            raise ModelFormatError(f"{path}, line 1: header {header!r} != {expected!r}")
+        names, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise ModelFormatError(
+                    f"{path}, line {lineno}: {len(row)} fields, expected {d + 1}"
+                )
+            if not row[0]:
+                raise ModelFormatError(f"{path}, line {lineno}: empty {id_column} name")
+            names.append(row[0])
+            rows.append([
+                _parse_float(text, f"{path}, line {lineno}, column {ci + 2}")
+                for ci, text in enumerate(row[1:])
+            ])
+    return names, np.array(rows, dtype=np.float64).reshape(len(rows), d), d
+
+
+def export_grid_csv_reference(grid, path):
+    xs_text = [repr(float(v)) for v in grid.x_centers]
+    ys_text = [repr(float(v)) for v in grid.y_centers]
+    with open(path, "w", newline="") as handle:
+        handle.write("x,y,label_index\n")
+        for iy, y in enumerate(ys_text):
+            row = grid.labels[iy]
+            handle.writelines(f"{x},{y},{row[ix]}\n" for ix, x in enumerate(xs_text))

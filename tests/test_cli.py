@@ -397,6 +397,34 @@ class TestExitCodes:
         path.write_text("label,dim_0,dim_1\na,1,nan\nb,3,4\n")
         assert main(["similarity", "--input", str(path)]) == 2
 
+    def test_integer_beyond_double_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"version": "1", "d": 2, "labels": ["a", "b"],'
+            f' "unembeddings": [[1, 2], [3, {"9" * 400}]]}}'
+        )
+        assert main(["similarity", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unembeddings[1][1] is not a finite number\n"
+        )
+
+    def test_integer_beyond_double_in_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(f"label,dim_0,dim_1\na,1,2\nb,3,{'9' * 400}\n")
+        assert main(["similarity", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 3, column 3: non-finite value: '{'9' * 400}'\n"
+        )
+
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(
+            '{"version": "1", "d": true, "labels": ["a", "b"],'
+            ' "unembeddings": [[1], [3]]}'
+        )
+        assert main(["similarity", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad dimension field d\n"
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": "7"}')

@@ -12,8 +12,9 @@ lies on the line through g_i and g_j) in floats with an error bound, in
 Fractions, or by an exact rational phase 1.  `tie_graph` decides every
 unordered pair once, settles all pairs of a label proven to lie inside the
 convex hull of the others from that one proof, runs the float phase 1 of
-all the other pairs as stacks (`coargmax_phase1`), and checks their
-certificates with float filters that take whole arrays of pairs.
+all the other pairs as stacks (`lp._coargmax_phase1`, arrays in and
+out), and checks their certificates with float filters that take whole
+arrays of pairs.
 `coargmax_oracle_2d_pairs` answers exactly in two dimensions: there f is
 confined to the line orthogonal to g_i - g_j, so it suffices to test the
 two directions of that line, each sign by an exact orientation predicate;
@@ -29,7 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .lp import _check_pairs, coargmax_phase1, hull_lp, pow2_exponent, solve
+from .lp import (
+    _INFEASIBLE, _OPTIMAL, _STATUSES, _check_pairs, _coargmax_phase1, hull_lp,
+    pow2_exponent, solve,
+)
 from .model import SoftmaxModel, UnembeddingSet, as_label_vector
 
 __all__ = [
@@ -437,9 +441,10 @@ def _check_eps(eps: float) -> None:
 
 
 def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
-             sols) -> list[FeasibilityReport]:
-    """The proven report of each pair (i, j) of `pairs` from sols, the
-    float phase 1 of coargmax_lp for each pair in index order.
+             status, duals, x) -> list[FeasibilityReport]:
+    """The proven report of each pair (i, j) of `pairs` from the float
+    phase 1 of coargmax_lp for each pair in index order, as arrays of
+    _coargmax_phase1: status codes, Farkas duals and solutions.
 
     The float filters check the certificates of the whole batch at once;
     they run only when exact_scale says `scaled` is the exactly rescaled
@@ -452,22 +457,23 @@ def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
     proof = [""] * len(pairs)
     direction = {}  # pair index -> proven tie direction
     # phase 1 infeasible: its duals are a tie direction
-    tie = [p for p, sol in enumerate(sols) if sol.status == "infeasible"]
+    codes = status.tolist()
+    tie = [p for p, code in enumerate(codes) if code == _INFEASIBLE]
     if tie:
-        f = _unit_box(np.array([sols[p].duals[:d] for p in tie]))
+        f = _unit_box(duals[tie, :d])
         passed = (_tie_filter(g, lo[tie], hi[tie], f) if exact_scale
                   else [False] * len(tie))
         for p, fp, ok in zip(tie, f, passed):
             if ok or _tie_fraction(g, lo[p], hi[p], fp):
                 proof[p], direction[p] = "float" if ok else "fraction", fp
     # phase 1 feasible: its weights mix the other labels onto the line
-    no_tie = [p for p, sol in enumerate(sols) if sol.status == "optimal"]
+    no_tie = [p for p, code in enumerate(codes) if code == _OPTIMAL]
     if no_tie:
         passed = (_no_tie_filter(g, lo[no_tie], hi[no_tie],
-                                 np.array([sols[p].x for p in no_tie]))
+                                 np.array([x[p] for p in no_tie]))
                   if exact_scale else [False] * len(no_tie))
         for p, ok in zip(no_tie, passed):
-            if ok or _no_tie_fraction(g, lo[p], hi[p], sols[p].x):
+            if ok or _no_tie_fraction(g, lo[p], hi[p], x[p]):
                 proof[p] = "float" if ok else "fraction"
     for p in range(len(pairs)):
         if not proof[p]:
@@ -483,12 +489,12 @@ def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
                                       np.array([direction[p] for p in ties]))
         found = dict(zip(ties, zip(witnesses, margins.tolist())))
     reports = []
-    for p, ((i, j), sol) in enumerate(zip(pairs, sols)):
+    for p, ((i, j), code) in enumerate(zip(pairs, codes)):
         witness, margin = found.get(p, (None, 0.0))
         verdict = ("infeasible" if witness is None
                    else "feasible" if margin > eps else "degenerate")
         reports.append(FeasibilityReport(
-            i, j, verdict, margin, eps, witness, sol.status, proof[p]))
+            i, j, verdict, margin, eps, witness, _STATUSES[code], proof[p]))
     return reports
 
 
@@ -511,9 +517,10 @@ def coargmax_feasible(
     if i == j:
         raise ValueError("need two distinct label indices")
     _check_eps(eps)
-    sols = coargmax_phase1(unembeddings, [(min(i, j), max(i, j))])
     scaled, exact_scale = _rescaled(unembeddings.vectors)
-    return _reports(unembeddings, scaled, exact_scale, [(i, j)], eps, sols)[0]
+    status, _, duals, x = _coargmax_phase1(scaled, [(min(i, j), max(i, j))])
+    return _reports(unembeddings, scaled, exact_scale, [(i, j)], eps,
+                    status, duals, x)[0]
 
 
 def _orient2d_signs(a, b, c) -> np.ndarray:
@@ -647,8 +654,8 @@ def tie_graph(
     j weight lam < 1, (g_i - lam g_j) / (1 - lam) is a mix of the rest on
     that line.  Such a pair is reported with the proof path of label i's
     certificate.  Every other pair is decided like coargmax_feasible
-    decides it, from one coargmax_phase1 call for all of them, with the
-    certificates proven in batches."""
+    decides it, from one stacked phase 1 (lp._coargmax_phase1) for all of
+    them, with the certificates proven in batches."""
     _check_eps(eps)
     k = unembeddings.k
     wanted = set(range(k) if rows is None else rows)
@@ -684,10 +691,10 @@ def tie_graph(
             else:
                 graph[i, j] = None  # keeps the key order
                 todo.append((i, j))
-    sols = coargmax_phase1(unembeddings, todo)
+    status, _, duals, x = _coargmax_phase1(scaled, todo)
     for part in _chunks(len(todo), *g.shape):
         reports = _reports(unembeddings, scaled, exact_scale, todo[part], eps,
-                           sols[part])
+                           status[part], duals[part], x[part])
         graph.update(zip(todo[part], reports))
     return graph
 

@@ -29,8 +29,14 @@ The pair systems of coargmax_lp are decided as stacks: coargmax_phase1
 builds the tableaus of many pairs of one model at once and pivots them
 together, each under the rules above on its own, so every solution is
 bit-identical to solve(coargmax_lp(...)) and so are the reports built on
-it.  A stack holds a fixed budget of tableau bytes (_STACK_BYTES), so the
-memory it takes does not grow with the number of pairs.
+it.  A stack holds at most _STACK_BYTES (2 MiB) of tableaus, so the memory
+it takes does not grow with the number of pairs, yet all 231 pairs of a
+k = 22, d = 16 model (or 276 of k = 24, d = 8) make one stack.  After each
+pivot step, every tableau whose phase 1 ended retires in one pass: the
+statuses, duals and iterations of all of them are written as arrays, and
+live tableaus from the tail of the stack fill the freed slots.  The core,
+_coargmax_phase1, returns those arrays, which geometry proves without an
+LpSolution per pair; coargmax_phase1 is its LpSolution view.
 """
 
 from __future__ import annotations
@@ -171,26 +177,27 @@ def solve(lp: LinearProgram) -> LpSolution:
     if not ended:
         return LpSolution("indeterminate", None, iterations)
     if -tab[m, total] > PHASE1_TOL:
-        return _farkas(tab[m, ncols:total], neg, iterations)
-    return _finish(lp.a_eq, lp.b_eq, free, tab, basis, ncols, iterations)
+        duals = _farkas(tab[m, ncols:total], np.where(neg, -1.0, 1.0))
+        duals.setflags(write=False)
+        return LpSolution("infeasible", None, iterations, duals)
+    x = _finish(lp.a_eq, lp.b_eq, free, tab, basis, ncols)
+    return LpSolution("indeterminate" if x is None else "optimal", x, iterations)
 
 
-def _farkas(reduced, neg, iterations) -> LpSolution:
-    """The infeasible verdict of a phase 1 that ended with a positive sum
-    of artificials.  y = c_B B^-1 is the artificials' cost 1 minus their
-    reduced cost; negated rows flip back to original orientation."""
-    duals = 1.0 - reduced
-    duals[neg] *= -1.0
-    duals.setflags(write=False)
-    return LpSolution("infeasible", None, iterations, duals)
+def _farkas(reduced, flip) -> np.ndarray:
+    """The phase-1 duals y = c_B B^-1 from the reduced costs of the
+    artificials (one row per tableau for a stack): their cost 1 minus
+    their reduced cost, times flip, -1.0 where a row was negated and 1.0
+    elsewhere.  They are a Farkas certificate when phase 1 ended with a
+    positive sum of artificials."""
+    return (1.0 - reduced) * flip
 
 
-def _finish(a_eq, b_eq, free, tab, basis, ncols: int,
-            iterations: int) -> LpSolution:
+def _finish(a_eq, b_eq, free, tab, basis, ncols: int) -> np.ndarray | None:
     """The tail of a solve whose phase 1 ended feasible: drive leftover
     artificials (the columns from ncols on) out of the basis where a row
     is not redundant, read x off the vertex reached and check its
-    residuals."""
+    residuals.  Returns x (read-only), or None when the check fails."""
     m = basis.shape[0]
     for row in np.flatnonzero(basis >= ncols):
         candidates = np.flatnonzero(np.abs(tab[row, :ncols]) > PIVOT_TOL)
@@ -209,9 +216,9 @@ def _finish(a_eq, b_eq, free, tab, basis, ncols: int,
                       float(np.abs(x).max(initial=0.0)))
     if (np.abs(a_eq @ x - b_eq).max(initial=0.0) > 1e-9 * scale
             or (x[~free] < -1e-9 * scale).any()):
-        return LpSolution("indeterminate", None, iterations)
+        return None
     x.setflags(write=False)
-    return LpSolution("optimal", x, iterations)
+    return x
 
 
 def pow2_exponent(vectors) -> int:
@@ -270,8 +277,13 @@ def _coargmax_system(g, i: int, j: int):
 
 # Bytes of pair tableaus that coargmax_phase1 pivots together (at least
 # one tableau per stack); one scratch buffer of the same size serves every
-# pivot of every stack.
-_STACK_BYTES = 256 * 1024
+# pivot of a stack.  All 231 pairs of a model with k = 22, d = 16
+# (tableaus of 18 x 40 floats, 1.33 MB) make one stack.
+_STACK_BYTES = 2 * 1024 * 1024
+
+# The status codes of _coargmax_phase1, indices into _STATUSES.
+_STATUSES = ("optimal", "infeasible", "indeterminate")
+_OPTIMAL, _INFEASIBLE, _INDETERMINATE = range(3)
 
 
 def coargmax_phase1(unembeddings, pairs) -> list[LpSolution]:
@@ -279,35 +291,56 @@ def coargmax_phase1(unembeddings, pairs) -> list[LpSolution]:
     label indices in `pairs`, in order and bit for bit, with the phase 1
     of many pairs pivoted together.
 
-    The tableaus of the pairs are built straight from the rescaled model
-    and stacked, _STACK_BYTES at a time.  Each pivot step of a stack
-    applies solve's rules to every tableau on its own: Dantzig pricing
-    with ties to the lowest column, the ratio test with ties to the lowest
-    basic index, Bland's rule after too many degenerate pivots of that
-    tableau, and the iteration cap.  A tableau leaves the stack when its
-    phase 1 ends; one that ends feasible finishes through solve's own
-    tail (drive-out and residual check)."""
+    It is the LpSolution view of _coargmax_phase1, which returns the
+    results of all pairs as arrays.  The tableaus of the pairs are built
+    straight from the rescaled model and stacked, up to _STACK_BYTES
+    (2 MiB) of them at a time, so all pairs of a model up to k = 22,
+    d = 16 make one stack.  Each pivot step of a stack applies solve's
+    rules to every tableau on its own: Dantzig pricing with ties to the
+    lowest column, the ratio test with ties to the lowest basic index,
+    Bland's rule after too many degenerate pivots of that tableau, and
+    the iteration cap.  After each step, all tableaus whose phase 1 ended
+    retire in one pass: their statuses, Farkas duals and iterations (the
+    step count) are written as arrays, and live tableaus from the tail of
+    the stack move into the freed slots.  A tableau that ends feasible
+    finishes through solve's own tail (drive-out and residual check)."""
     g = unembeddings.vectors
+    status, iterations, duals, x = _coargmax_phase1(
+        np.ldexp(g, -pow2_exponent(g)), pairs)
+    return [LpSolution(_STATUSES[code], x[p], steps,
+                       duals[p] if code == _INFEASIBLE else None)
+            for p, (code, steps) in enumerate(zip(status.tolist(),
+                                                  iterations.tolist()))]
+
+
+def _coargmax_phase1(g, pairs):
+    """coargmax_phase1 on g, the model divided by 2**pow2_exponent, as
+    arrays with one entry per pair: (status, iterations, duals, x).
+    status holds codes into _STATUSES.  duals holds the d + 1 phase-1
+    duals where phase 1 ended, a Farkas certificate where it ended
+    infeasible, and NaN where the iteration cap stopped it (read-only).
+    x holds the read-only solution where optimal, else None."""
     k, d = g.shape
     pairs = [(int(i), int(j)) for i, j in pairs]
     _check_pairs(k, pairs)
-    g = np.ldexp(g, -pow2_exponent(g))
-    shape = (d + 2, k + d + 2)  # one tableau: d + 1 rows and the cost row
-    per_stack = max(1, _STACK_BYTES // (8 * shape[0] * shape[1]))
-    scratch = np.empty((min(per_stack, len(pairs)), *shape))
-    out: list[LpSolution] = []
-    for start in range(0, len(pairs), per_stack):
-        out += _phase1_stack(g, pairs[start:start + per_stack], scratch)
+    n = len(pairs)
+    out = (np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64),
+           np.full((n, d + 1), np.nan), [None] * n)
+    # one tableau: d + 1 rows and the cost row, k + d + 2 columns
+    per_stack = max(1, _STACK_BYTES // (8 * (d + 2) * (k + d + 2)))
+    for start in range(0, n, per_stack):
+        _phase1_stack(g, pairs, range(start, min(start + per_stack, n)), out)
+    out[2].setflags(write=False)
     return out
 
 
-def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
-    """coargmax_phase1 for one stack of pairs of the rescaled model g.
-    The live tableaus are always t[:live]; one whose phase 1 ends swaps
-    with the last live one."""
+def _phase1_stack(g, pairs, stack: range, out) -> None:
+    """_coargmax_phase1 for the pairs pairs[p], p in stack, as one stack:
+    writes the result of pair p at index p of each array of out.  The live
+    tableaus are always t[:live], and lp_of[s] is the pair of slot s."""
     k, d = g.shape
-    n, m = len(pairs), d + 1
-    i, j = np.array(pairs).T
+    n, m = len(stack), d + 1
+    i, j = np.array(pairs[stack.start:stack.stop]).T
     # solve's tableau of coargmax_lp: k structural columns (the other
     # labels, s+ and s-), one artificial per row, the rhs; rows with a
     # negative rhs negated; the cost row last
@@ -322,8 +355,7 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
     t[:, :d, k - 1] = -t[:, :d, k - 2]
     t[:, :d, total] = g[i]
     t[:, d, total] = 1.0
-    neg = t[:, :m, total] < 0.0
-    flip = np.where(neg, -1.0, 1.0)
+    flip = np.where(t[:, :m, total] < 0.0, -1.0, 1.0)
     t[:, :m, :k] *= flip[:, :, None]
     t[:, :m, total] *= flip
     t[:, np.arange(m), k + np.arange(m)] = 1.0
@@ -339,16 +371,17 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
     bland_after = _bland_after(m, total)
     max_iterations = _iteration_cap(m, total)
     degenerate = np.zeros(n, dtype=np.int64)
-    lp_of = np.arange(n)  # the pair each slot of the stack holds
+    lp_of = np.arange(stack.start, stack.stop)
     slots = np.arange(n)
-    out: list = [None] * n
+    scratch = np.empty_like(t)
+    status, steps, duals, x = out
     live, iterations = n, 0
     # the ratios over pivot-column entries <= PIVOT_TOL are masked out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while live:
             if iterations >= max_iterations:
-                for s in range(live):
-                    out[lp_of[s]] = LpSolution("indeterminate", None, iterations)
+                status[lp_of[:live]] = _INDETERMINATE
+                steps[lp_of[:live]] = iterations
                 break
             tl, at = t[:live], slots[:live]
             reduced = tl[:, m, :k]
@@ -357,7 +390,8 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
             if iterations > bland_after:  # else no count can exceed it
                 bland = degenerate[:live] > bland_after
                 col = np.where(bland, eligible.argmax(axis=1), col)
-            pivot_col = tl[at, :m, col]
+            factors = tl[at, :, col]  # the pivot column, cost row included
+            pivot_col = factors[:, :m]
             positive = pivot_col > PIVOT_TOL
             ratios = np.where(positive, tl[:, :m, total] / pivot_col, np.inf)
             best = ratios.min(axis=1, keepdims=True)
@@ -365,30 +399,45 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
             row = np.where(tied, basis[:live], total).argmin(axis=1)
             piv, step = pivot_col[at, row], ratios[at, row]
 
-            # a tableau whose phase 1 ended swaps with the last live one
-            ended = (~(eligible.any(axis=1) & positive.any(axis=1))).nonzero()[0]
-            for s in ended[::-1]:
-                if eligible[s].any():  # unbounded: not for a sum of >= 0
-                    sol = LpSolution("indeterminate", None, iterations)
-                elif -t[s, m, total] > PHASE1_TOL:
-                    sol = _farkas(t[s, m, k:total], neg[s], iterations)
-                else:
-                    sol = _finish(*_coargmax_system(g, *pairs[lp_of[s]]),
-                                  t[s].copy(), basis[s].copy(), k, iterations)
-                out[lp_of[s]] = sol
-                live -= 1
-                for state in (t, basis, neg, degenerate, lp_of, col, row,
-                              piv, step):
-                    state[s] = state[live]
-            if not live:
-                break
+            has_col = eligible[at, col]  # col is eligible if any column is
+            going = has_col & positive.any(axis=1)
+            if np.count_nonzero(going) < live:
+                # retire every tableau whose phase 1 ended in this step:
+                # infeasible where the sum of artificials is above
+                # PHASE1_TOL.  An eligible column with no leaving row would
+                # make a sum of nonnegatives unbounded, which cannot happen.
+                ended = (~going).nonzero()[0]
+                at_end = lp_of[ended]
+                code = np.where(t[ended, m, total] < -PHASE1_TOL,
+                                _INFEASIBLE, _OPTIMAL)
+                code[has_col[ended]] = _INDETERMINATE
+                status[at_end] = code
+                steps[at_end] = iterations
+                duals[at_end] = _farkas(t[ended, m, k:total], flip[ended])
+                for s in ended[code == _OPTIMAL].tolist():
+                    p = lp_of[s]  # a retired slot's tableau is free to change
+                    x[p] = _finish(*_coargmax_system(g, *pairs[p]), t[s],
+                                   basis[s], k)
+                    if x[p] is None:
+                        status[p] = _INDETERMINATE
+                # the live tableaus past the new end fill the freed slots
+                live -= ended.size
+                holes = ended[ended < live]
+                if holes.size:
+                    fill = live + going[live:].nonzero()[0]
+                    for state in (t, basis, flip, degenerate, lp_of, col, row,
+                                  factors, piv, step):
+                        state[holes] = state[fill]
+                if not live:
+                    break
+                tl, at = t[:live], slots[:live]
+                col, row, factors = col[:live], row[:live], factors[:live]
+                piv, step = piv[:live], step[:live]
 
             # one pivot of every live tableau, in _pivot's order of operations
-            tl, at, col, row = t[:live], slots[:live], col[:live], row[:live]
-            degenerate[:live] += step[:live] <= PIVOT_TOL
-            factors = tl[at, :, col]
+            degenerate[:live] += step <= PIVOT_TOL
             factors[at, row] = 0.0
-            pivot_row = tl[at, row] / piv[:live, None]
+            pivot_row = tl[at, row] / piv[:, None]
             tl[at, row] = pivot_row
             work = scratch[:live]
             np.multiply(factors[:, :, None], pivot_row[:, None, :], out=work)
@@ -397,7 +446,6 @@ def _phase1_stack(g, pairs, scratch) -> list[LpSolution]:
             tl[at, row, col] = 1.0
             basis[at, row] = col
             iterations += 1
-    return out
 
 
 def hull_lp(unembeddings, i: int) -> LinearProgram:

@@ -13,6 +13,7 @@ all functions are pure, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class UnembeddingSet:
                 f"{len(labels)} labels for {k} vectors"
             )
         if len(set(labels)) != k:
-            dup = sorted({x for x in labels if labels.count(x) > 1})
+            dup = sorted(x for x, n in Counter(labels).items() if n > 1)
             raise ValueError(f"duplicate labels: {dup}")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("unembedding vectors contain non-finite entries")

@@ -261,6 +261,27 @@ class TestCoargmaxFeasible:
         for pair, rep in graph.items():
             assert fields(scaled[pair]) == fields(rep), pair
 
+    @given(arrays(np.int64, st.tuples(st.integers(2, 7), st.integers(1, 4)),
+                  elements=st.integers(-64, 64)),
+           st.integers(0, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tie_graph_under_translation(self, counts, p, data):
+        # dyadic labels and a dyadic v, so g + v is exact: the translated
+        # model ties exactly the same pairs, while its float phase 1, and
+        # so each witness and margin, may differ
+        g = np.ldexp(counts.astype(np.float64), -4)
+        steps = data.draw(arrays(np.int64, g.shape[1], elements=st.integers(-64, 64)))
+        v = np.ldexp(steps.astype(np.float64), -p)
+        u = _labelled(g)
+        moved = translate(u, v)
+        assert np.array_equal(moved.vectors - v, g)
+        graph, shifted = tie_graph(u), tie_graph(moved)
+        assert shifted.keys() == graph.keys()
+        for pair, rep in graph.items():
+            assert ((shifted[pair].verdict == "infeasible")
+                    == (rep.verdict == "infeasible")), pair
+            assert rep.proof and shifted[pair].proof, pair
+
     def test_duplicate_vectors_match_exact_fallback(self):
         # g_5 = g_2 and g_7 = g_1: the pair's line is undefined, so the
         # projection is skipped; each verdict must match exact phase 1
@@ -638,13 +659,13 @@ def _counting_pair_decider(monkeypatch):
     """Route the pair LPs of geometry through a counter; returns the list
     of calls, each the list of pairs it decided (tie_graph makes one)."""
     calls = []
-    phase1 = geometry.coargmax_phase1
+    phase1 = geometry._coargmax_phase1
 
-    def counted(u, pairs):
+    def counted(g, pairs):
         calls.append(list(pairs))
-        return phase1(u, pairs)
+        return phase1(g, pairs)
 
-    monkeypatch.setattr(geometry, "coargmax_phase1", counted)
+    monkeypatch.setattr(geometry, "_coargmax_phase1", counted)
     return calls
 
 
@@ -840,11 +861,14 @@ class TestBatchedCertificates:
                     if small:
                         assert _exact_phase1(scaled, i[r], j[r]) is None
         # one batch of reports of both statuses against batches of one
-        pairs, sols = zip(*(tie + no_tie))
+        pairs = [p for p, _ in tie + no_tie]
         exact_scale = geometry._rescaled(g)[1]
-        reports = geometry._reports(u, scaled, exact_scale, pairs, 1e-7, sols)
-        for p, sol, rep in zip(pairs, sols, reports):
-            (one,) = geometry._reports(u, scaled, exact_scale, [p], 1e-7, [sol])
+        status, _, duals, x = geometry._coargmax_phase1(scaled, pairs)
+        reports = geometry._reports(u, scaled, exact_scale, pairs, 1e-7,
+                                    status, duals, x)
+        for r, (p, rep) in enumerate(zip(pairs, reports)):
+            (one,) = geometry._reports(u, scaled, exact_scale, [p], 1e-7,
+                                       status[r:r + 1], duals[r:r + 1], x[r:r + 1])
             assert _same_report(rep, one) and rep.proof == one.proof, (name, p)
             assert _same_report(rep, coargmax_feasible(u, *p)), (name, p)
 

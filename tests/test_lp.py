@@ -1,6 +1,8 @@
 """Phase-1 simplex solver: golden systems, HiGHS cross-checks, the stacked
 phase 1."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -362,14 +364,38 @@ class TestCoargmaxPhase1:
         sizes = []
         stack = lp_module._phase1_stack
 
-        def counted(g, pairs, scratch):
-            sizes.append(len(pairs))
-            return stack(g, pairs, scratch)
+        def counted(g, pairs, part, out):
+            sizes.append(len(part))
+            return stack(g, pairs, part, out)
 
         monkeypatch.setattr(lp_module, "_phase1_stack", counted)
         assert [_fingerprint(sol) for sol in coargmax_phase1(u, pairs)] == expected
         assert sizes == [per_stack] * (len(pairs) // per_stack) + (
             [len(pairs) % per_stack] if len(pairs) % per_stack else [])
+
+    @given(arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(1, 4)),
+                  elements=st.floats(-10.0, 10.0, allow_nan=False,
+                                     allow_infinity=False)),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_budget_and_pair_order_change_nothing(self, g, data):
+        # tableaus that end at different steps of one stack retire
+        # together and the live ones move; neither the budget nor the order
+        # may change a result, also when Bland's rule starts early and so
+        # depends on each tableau's own count of degenerate pivots
+        u, pairs = _labelled(g), _ordered_pairs(len(g))
+        k, d = g.shape
+        per_stack = data.draw(st.integers(1, len(pairs)))
+        order = data.draw(st.permutations(pairs))
+        bland_after = data.draw(st.sampled_from([None, 0, 1, 2]))
+        with mock.patch.object(lp_module, "_bland_after", (
+                lp_module._bland_after if bland_after is None
+                else lambda rows, cols: bland_after)):
+            expected = dict(zip(pairs, map(_fingerprint, coargmax_phase1(u, pairs))))
+            budget = per_stack * 8 * (d + 2) * (k + d + 2)
+            with mock.patch.object(lp_module, "_STACK_BYTES", budget):
+                got = coargmax_phase1(u, order)
+        assert [_fingerprint(sol) for sol in got] == [expected[p] for p in order]
 
     def test_bland_rule_matches(self, monkeypatch):
         # Bland's rule from the first degenerate pivot on: the stack must
@@ -380,6 +406,16 @@ class TestCoargmaxPhase1:
         monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)
         bland = _assert_matches_solve(g)
         assert [sol.iterations for sol in bland] != dantzig
+
+    def test_bland_counts_move_with_their_tableaus(self, monkeypatch):
+        # tableaus that retire early free slots that live ones move into;
+        # each must keep its own count of degenerate pivots
+        monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)
+        g = np.random.default_rng(3).standard_normal((8, 3))
+        g[5], g[7] = g[2], g[1]
+        _assert_matches_solve(g)
+        monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 1)
+        _assert_matches_solve(_degenerate_model())
 
     def test_iteration_cap_matches(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_iteration_cap", lambda rows, cols: 3)

@@ -63,6 +63,13 @@ class TestUnembeddingSet:
         with pytest.raises(ValueError, match="duplicate"):
             UnembeddingSet(("a", "a"), [[1.0, 0.0], [0.0, 1.0]])
 
+    def test_duplicate_labels_message(self):
+        # each duplicated label once, sorted, however often it repeats
+        labels = ("b", "a", "b", "c", "a", "a")
+        with pytest.raises(ValueError) as info:
+            UnembeddingSet(labels, np.eye(6)[:, :2])
+        assert str(info.value) == "duplicate labels: ['a', 'b']"
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):
             UnembeddingSet(("a", "b", "c"), [[1.0, 0.0], [0.0, 1.0]])

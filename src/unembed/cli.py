@@ -83,14 +83,25 @@ def _load(args) -> SoftmaxModel:
     return load_model(args.input, args.format, args.embeddings)
 
 
-def _input_section(args, model: SoftmaxModel) -> dict:
+def _input_section(path: str, fmt: str | None, model: SoftmaxModel) -> dict:
     return {
-        "path": args.input,
-        "format": args.format or os.path.splitext(args.input)[1].lstrip("."),
+        "path": path,
+        "format": fmt or os.path.splitext(path)[1].lstrip("."),
         "k": model.k,
         "d": model.d,
         "labels": list(model.labels),
         "n_points": model.embeddings.n,
+    }
+
+
+def _force_cosine_entry(v, pair, target) -> dict:
+    """The transform entry of a translation that forces a pair's cosine."""
+    return {
+        "op": "translate",
+        "vector": [float(x) for x in v],
+        "reason": "force_cosine",
+        "pair": list(pair),
+        "target": target,
     }
 
 
@@ -174,7 +185,8 @@ def _cmd_similarity(args) -> int:
     section = _similarity_section(model, args.metric)
     if args.output:
         report = new_report(
-            input=_input_section(args, model), similarity=section
+            input=_input_section(args.input, args.format, model),
+            similarity=section,
         )
         save_report(report, args.output)
         print(f"wrote {args.output}")
@@ -208,14 +220,8 @@ def _cmd_force_cosine(args) -> int:
     print(f"wrote {args.output}")
     if args.report:
         report = new_report(
-            input=_input_section(args, model),
-            transforms=[{
-                "op": "translate",
-                "vector": [float(x) for x in v],
-                "reason": "force_cosine",
-                "pair": [i, j],
-                "target": args.target,
-            }],
+            input=_input_section(args.input, args.format, model),
+            transforms=[_force_cosine_entry(v, (i, j), args.target)],
             equivalence=_equivalence_section(
                 equiv, {"cosine_before": before, "cosine_after": after}
             ),
@@ -254,7 +260,8 @@ def _cmd_ties(args) -> int:
               f"{', '.join(mine) if mine else '(none)'}")
     if args.output:
         report = new_report(
-            input=_input_section(args, model), feasibility=feasibility
+            input=_input_section(args.input, args.format, model),
+            feasibility=feasibility,
         )
         save_report(report, args.output)
         print(f"wrote {args.output}")
@@ -294,7 +301,7 @@ def _cmd_verify_equivalence(args) -> int:
           f"over {equiv.num_points_checked} points (tol {equiv.tol:g})")
     if args.output:
         report = new_report(
-            input=_input_section(args, model_a),
+            input=_input_section(args.input, args.format, model_a),
             equivalence=_equivalence_section(equiv, {"other": args.other}),
         )
         save_report(report, args.output)
@@ -313,24 +320,20 @@ def _cmd_reproduce(args) -> int:
     model = ex.model
     save_model(model, path(f"{ex.name}.json"))
     save_model(model, path(f"{ex.name}.csv"))
-    report = new_report(input={
-        "path": f"{ex.name}.json", "format": "json", "k": model.k,
-        "d": model.d, "labels": list(model.labels), "n_points": 0,
-    })
+    report = new_report(input=_input_section(f"{ex.name}.json", None, model))
     report["similarity"] = _similarity_section(model, "cosine")
 
-    bounds = cloud = None  # every bundled example is 2D; set just below
-    if model.d == 2:
-        cloud = synthetic_embeddings(model.unembeddings, args.points, args.seed)
-        save_model(
-            SoftmaxModel(model.unembeddings, cloud),
-            path("with_embeddings.csv"),
-            embeddings_path=path("embeddings.csv"),
-        )
-        bounds = inflated_bounds(model.unembeddings)
-        export_grid_csv(
-            decision_regions(model, bounds, args.resolution), path("grid.csv")
-        )
+    # every bundled example is 2D
+    cloud = synthetic_embeddings(model.unembeddings, args.points, args.seed)
+    save_model(
+        SoftmaxModel(model.unembeddings, cloud),
+        path("with_embeddings.csv"),
+        embeddings_path=path("embeddings.csv"),
+    )
+    bounds = inflated_bounds(model.unembeddings)
+    export_grid_csv(
+        decision_regions(model, bounds, args.resolution), path("grid.csv")
+    )
 
     if ex.name == "unrestricted":
         # the two probability-preserving models with forced cosines
@@ -347,16 +350,9 @@ def _cmd_reproduce(args) -> int:
         )
         equiv = verify_equivalence(model, minus, cloud, args.tol)
         report["transforms"] = [
-            {
-                "op": "translate",
-                "vector": [float(x) for x in
-                           cosine_forcing_translation(
-                               model.unembeddings.vector(0),
-                               model.unembeddings.vector(1), t)],
-                "reason": "force_cosine",
-                "pair": [0, 1],
-                "target": t,
-            }
+            _force_cosine_entry(cosine_forcing_translation(
+                model.unembeddings.vector(0), model.unembeddings.vector(1), t),
+                (0, 1), t)
             for t in (-1, 1)
         ]
         report["equivalence"] = _equivalence_section(equiv, {

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
 from .lp import (
-    _INFEASIBLE, _OPTIMAL, _STATUSES, _check_pairs, _coargmax_phase1, hull_lp,
-    pow2_exponent, solve,
+    _INFEASIBLE, _OPTIMAL, _STATUSES, LinearProgram, _check_pairs,
+    _coargmax_phase1, _others, _pair_systems, pow2_exponent, solve,
 )
 from .model import SoftmaxModel, UnembeddingSet, as_label_vector
 
@@ -209,23 +209,11 @@ def _gamma(n: int) -> float:
 
 
 def _fractions(values) -> list:
-    return [Fraction(float(v)) for v in values]
+    return [Fraction(v) for v in values]  # floats and Fractions alike
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _others(k: int, i, j) -> np.ndarray:
-    """The labels other than i and j, in index order.  For arrays of pairs,
-    one row per pair: all pairs of one call have i != j, or all have
-    i = j."""
-    i, j = np.asarray(i), np.asarray(j)
-    keep = np.ones((i.size, k), dtype=bool)
-    rows = np.arange(i.size)
-    keep[rows, i.ravel()] = False
-    keep[rows, j.ravel()] = False
-    return np.nonzero(keep)[1].reshape(i.shape + (-1,))
 
 
 # Bytes of the largest per-pair temporary (about k x (d + 1) floats) that
@@ -320,8 +308,7 @@ def _no_tie_filter(g, i, j, x) -> np.ndarray:
     whose weights are all positive (a verified solve: with R ~ A^-1 and
     |I - R A| summing to beta < 1 by rows, the exact solution is within
     |R| |b - A x| / (1 - beta) of x)."""
-    k, d = g.shape
-    n = d + 1
+    n = g.shape[1] + 1
     support = x > 0.0
     support[:, -1] = x[:, -1] != 0.0
     square = support.sum(axis=1) == n
@@ -330,18 +317,13 @@ def _no_tie_filter(g, i, j, x) -> np.ndarray:
         if square.any():
             proven[square] = _no_tie_filter(g, i[square], j[square], x[square])
         return proven
-    # every column of each pair's system, as rows: (g_l, 1) of each other
-    # label l, then (g_i - g_j, 0) for s.  That difference is rounded once;
-    # its error, at most u |A|, is covered by adding u to the gamma of each
-    # |A| term below.
-    columns = np.ones(support.shape + (n,))
-    columns[:, :-1, :d] = g[_others(k, i, j)]
-    columns[:, -1, :d] = g[i] - g[j]
-    columns[:, -1, d] = 0.0
-    a = np.ascontiguousarray(columns[support].reshape(-1, n, n).transpose(0, 2, 1))
+    # each pair's system on the support of x_p.  Its s column holds
+    # g_i - g_j, rounded once; that error, at most u |A|, is covered by
+    # adding u to the gamma of each |A| term below.
+    a_eq, b = _pair_systems(g, i, j)
+    columns = a_eq.transpose(0, 2, 1)[support]
+    a = np.ascontiguousarray(columns.reshape(-1, n, n).transpose(0, 2, 1))
     z = x[support].reshape(-1, n)
-    b = np.ones((len(i), n))
-    b[:, :d] = g[i]
     g_n = _gamma(n + 1)
     with np.errstate(all="ignore"):
         r = _inverses(a)
@@ -429,15 +411,43 @@ def _witness(g, i, j, f):
 def _rescaled(g):
     """g divided by 2**pow2_exponent(g), and whether that division was
     exact.  An exact positive multiple of g has the same certificates; when
-    underflow rounded an entry, only the exact checks on g apply."""
+    underflow rounded an entry, only the exact checks apply, on the model
+    of _checked_model."""
     e = pow2_exponent(g)
     scaled = np.ldexp(g, -e)
     return scaled, bool((np.ldexp(scaled, e) == g).all())
 
 
+def _checked_model(g, scaled, exact_scale: bool):
+    """The model whose certificates the exact checks prove: scaled where it
+    is g / 2**pow2_exponent(g) exactly, else that quotient in Fractions (an
+    object array).  So every power-of-two multiple of g that floats hold
+    exactly gets the same checks, and the same exact witness."""
+    if exact_scale:
+        return scaled
+    step = Fraction(2) ** -pow2_exponent(g)
+    return np.array([[Fraction(v) * step for v in row] for row in g.tolist()],
+                    dtype=object)
+
+
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+
+
+def _no_tie_proofs(g, exact_scale: bool, i, j, x) -> list[str]:
+    """The proof path of each "cannot tie" certificate: the phase-1
+    solution x_p (rows of x) of the pair system (i_p, j_p), for i_p = j_p
+    the weights of a hull system with s = 0.  "float" where the float
+    filter proves it (run in chunks, and only when exact_scale says g is
+    the exactly rescaled model it assumes), else "fraction" where the exact
+    check does, else ""."""
+    passed = np.zeros(len(i), dtype=bool)
+    if exact_scale:
+        for part in _chunks(len(i), *g.shape):
+            passed[part] = _no_tie_filter(g, i[part], j[part], x[part])
+    return ["float" if ok else "fraction" if _no_tie_fraction(g, a, b, xp)
+            else "" for a, b, xp, ok in zip(i, j, x, passed)]
 
 
 def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
@@ -451,7 +461,7 @@ def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
     model they assume.  A certificate they reject is checked in Fractions,
     and a pair whose certificate fails that too is decided by an exact
     rational phase 1."""
-    g = scaled if exact_scale else unembeddings.vectors
+    g = _checked_model(unembeddings.vectors, scaled, exact_scale)
     d = g.shape[1]
     lo, hi = np.sort(np.array(pairs, dtype=np.intp), axis=1).T
     proof = [""] * len(pairs)
@@ -469,12 +479,10 @@ def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
     # phase 1 feasible: its weights mix the other labels onto the line
     no_tie = [p for p, code in enumerate(codes) if code == _OPTIMAL]
     if no_tie:
-        passed = (_no_tie_filter(g, lo[no_tie], hi[no_tie],
-                                 np.array([x[p] for p in no_tie]))
-                  if exact_scale else [False] * len(no_tie))
-        for p, ok in zip(no_tie, passed):
-            if ok or _no_tie_fraction(g, lo[p], hi[p], x[p]):
-                proof[p] = "float" if ok else "fraction"
+        for p, path in zip(no_tie, _no_tie_proofs(
+                g, exact_scale, lo[no_tie], hi[no_tie],
+                np.array([x[p] for p in no_tie]))):
+            proof[p] = path
     for p in range(len(pairs)):
         if not proof[p]:
             exact = _exact_phase1(g, lo[p], hi[p])
@@ -613,28 +621,26 @@ def _clear_vertices(g) -> np.ndarray:
 def _inside_proofs(unembeddings: UnembeddingSet, labels, scaled,
                    exact_scale: bool) -> dict[int, str]:
     """For each label m of `labels`, the proof path ("float" or "fraction")
-    of weights on the other labels whose mix is g_m, found by hull_lp and
-    proven like coargmax_feasible's "cannot tie" certificates (as the pair
-    system (m, m), with u = 0 and s = 0); "" when there are none or they
-    cannot be proven."""
-    proofs = dict.fromkeys(labels, "")
+    of weights on the other labels whose mix is g_m, found by phase 1 of
+    the hull system (hull_lp's, through lp.solve) and proven like
+    coargmax_feasible's "cannot tie" certificates (as the pair system
+    (m, m), with u = 0 and s = 0); "" when there are none or they cannot
+    be proven."""
+    labels = np.array(labels, dtype=np.intp)
     found, weights = [], []
-    for m in labels:
-        sol = solve(hull_lp(unembeddings, m))
-        if sol.status == "optimal":
-            found.append(m)
-            weights.append(np.append(sol.x, 0.0))  # the s of the system (m, m)
-    if not found:
-        return proofs
-    at, x = np.array(found), np.array(weights)
-    passed = np.zeros(len(found), dtype=bool)
-    if exact_scale:
-        for part in _chunks(len(found), *scaled.shape):
-            passed[part] = _no_tie_filter(scaled, at[part], at[part], x[part])
-    g = scaled if exact_scale else unembeddings.vectors
-    for m, xm, ok in zip(found, x, passed):
-        if ok or _no_tie_fraction(g, m, m, xm):
-            proofs[m] = "float" if ok else "fraction"
+    for part in _chunks(len(labels), *scaled.shape):
+        a_eq, b_eq = _pair_systems(scaled, labels[part], labels[part])
+        no_s = np.zeros(a_eq.shape[-1] - 1, dtype=bool)
+        for m, a, b in zip(labels[part].tolist(), a_eq, b_eq):
+            sol = solve(LinearProgram(a[:, :-1], b, no_s))
+            if sol.status == "optimal":
+                found.append(m)
+                weights.append(np.append(sol.x, 0.0))  # s = 0
+    at = np.array(found, dtype=np.intp)
+    proofs = dict.fromkeys(labels.tolist(), "")
+    proofs.update(zip(found, _no_tie_proofs(
+        _checked_model(unembeddings.vectors, scaled, exact_scale), exact_scale,
+        at, at, np.array(weights))))
     return proofs
 
 
@@ -648,7 +654,7 @@ def tie_graph(
     in lexicographic order.
 
     A label inside the convex hull of the others can win nowhere.  Once
-    that is proven for label i (one hull_lp and its certificate), every
+    that is proven for label i (one hull LP and its certificate), every
     pair (i, j) with g_j != g_i is infeasible by Motzkin: if the weights
     skip j, their mix g_i is on the line through g_i and g_j; if they give
     j weight lam < 1, (g_i - lam g_j) / (1 - lam) is a mix of the rest on

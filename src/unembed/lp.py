@@ -5,8 +5,10 @@ A system is
     a_eq @ x = b_eq,    x >= 0 except where `free` is set,
 
 with a zero objective, so phase 1 decides it.  solve splits each free
-variable into a nonnegative pair, negates the rows with a negative rhs,
-gives every row an artificial column and minimizes their sum by the
+variable x into a nonnegative pair, x = x+ - x-, with the columns of the
+x- after all others (right after x+ where only the last variable is free,
+as in every system the package builds), negates the rows with a negative
+rhs, gives every row an artificial column and minimizes their sum by the
 textbook tableau method:
 
   * Entering column: most negative reduced cost, ties to the lowest column
@@ -25,18 +27,17 @@ vertex reached is the solution, once its residuals are checked.  The
 pivot sequence is a pure function of the input, so identical systems
 produce bit-identical solutions.
 
-The pair systems of coargmax_lp are decided as stacks: coargmax_phase1
-builds the tableaus of many pairs of one model at once and pivots them
-together, each under the rules above on its own, so every solution is
-bit-identical to solve(coargmax_lp(...)) and so are the reports built on
-it.  A stack holds at most _STACK_BYTES (2 MiB) of tableaus, so the memory
-it takes does not grow with the number of pairs, yet all 231 pairs of a
-k = 22, d = 16 model (or 276 of k = 24, d = 8) make one stack.  After each
-pivot step, every tableau whose phase 1 ended retires in one pass: the
-statuses, duals and iterations of all of them are written as arrays, and
-live tableaus from the tail of the stack fill the freed slots.  The core,
-_coargmax_phase1, returns those arrays, which geometry proves without an
-LpSolution per pair; coargmax_phase1 is its LpSolution view.
+The tie question of a pair of labels and the hull question of one label
+are one system, written out only by _pair_systems: on the rescaled model,
+its columns are (g_l, 1) for every other label l in index order, then
+(g_i - g_j, 0) for the free s, and its rhs is (g_i, 1).  coargmax_lp is
+that system for one pair and hull_lp the system of the pair (i, i)
+without s.  _tableaus builds the phase-1 tableaus of a stack of systems,
+and solve decides a stack of one.  _coargmax_phase1 decides the pair
+systems of one model as stacks of up to _STACK_BYTES (2 MiB), each tableau
+under the rules above on its own, so every solution is bit-identical to
+solve(coargmax_lp(...)).  It returns its results as arrays, which geometry
+proves without an LpSolution per pair.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "coargmax_phase1",
-    "hull_lp", "PIVOT_TOL",
+    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "hull_lp", "PIVOT_TOL",
 ]
 
 PIVOT_TOL = 1e-9
@@ -65,7 +65,7 @@ class LinearProgram:
     free: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a_eq, dtype=np.float64)
+        a = np.array(self.a_eq, dtype=np.float64, order="C")
         b = np.array(self.b_eq, dtype=np.float64)
         free = np.array(self.free, dtype=bool)
         if a.ndim != 2 or b.shape != a.shape[:1] or free.shape != a.shape[1:]:
@@ -115,15 +115,11 @@ def _iteration_cap(rows: int, cols: int) -> int:
 
 def _run_phase1(t, basis, ncols: int, max_iter: int) -> tuple[bool, int]:
     """Minimize the sum of the artificials (the columns from ncols on, all
-    basic at the start) over the tableau t.  Returns (ended, iterations);
-    ended is False when the cap was hit or no row could leave, which a sum
-    of nonnegatives never allows."""
+    basic at the start) over the tableau t of _tableaus.  Returns (ended,
+    iterations); ended is False when the cap was hit or no row could leave,
+    which a sum of nonnegatives never allows."""
     m = basis.shape[0]
     total = t.shape[1] - 1
-    cost = np.where(np.arange(total) < ncols, 0.0, 1.0)
-    # reduced-cost row
-    t[m, :total] = cost - cost[basis] @ t[:m, :total]
-    t[m, total] = -(cost[basis] @ t[:m, total])
     bland_after = _bland_after(m, total)
     degenerate_pivots = iterations = 0
     while iterations < max_iter:
@@ -152,35 +148,48 @@ def _run_phase1(t, basis, ncols: int, max_iter: int) -> tuple[bool, int]:
     return False, iterations
 
 
-def _columns(free):
-    """(first, ncols): x = xhat[first], minus xhat[first + 1] for a free
-    variable (split into a nonnegative pair), over ncols tableau columns."""
-    width = np.where(free, 2, 1)
-    return np.cumsum(width) - width, int(width.sum())
+def _tableaus(a_eq, b_eq, free):
+    """The phase-1 tableaus of a stack of systems a_eq[p] x = b_eq[p] with
+    the same free flags, as (t, basis, flip).  A tableau holds the columns
+    of a_eq, the negated columns of the free variables, one artificial per
+    row (basic at the start, so basis[p] is the same for every p) and the
+    rhs; a row with a negative rhs is negated, where flip is -1.0 (else
+    1.0).  The last row holds the reduced costs of phase 1, with cost 1 on
+    the artificials."""
+    n, m, width = a_eq.shape
+    ncols = width + np.count_nonzero(free)
+    total = ncols + m
+    t = np.zeros((n, m + 1, total + 1))
+    t[:, :m, :width] = a_eq
+    t[:, :m, width:ncols] = -a_eq[:, :, free]
+    t[:, :m, total] = b_eq
+    flip = np.where(b_eq < 0.0, -1.0, 1.0)
+    t[:, :m, :ncols] *= flip[:, :, None]
+    t[:, :m, total] *= flip
+    t[:, np.arange(m), ncols + np.arange(m)] = 1.0
+    # the stacked matmul makes the BLAS call of a single ones @ t once per
+    # tableau, so a stack rounds each sum as a stack of one does
+    ones = np.ones((n, 1, m))  # the costs of the starting basis
+    cost = np.where(np.arange(total) < ncols, 0.0, 1.0)
+    t[:, m, :total] = cost - (ones @ t[:, :m, :total])[:, 0]
+    t[:, m, total] = -(ones @ t[:, :m, total:])[:, 0, 0]
+    return t, ncols + np.arange(m) + np.zeros((n, 1), dtype=np.intp), flip
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Decide a LinearProgram; see the module docstring for the algorithm."""
-    free = lp.free
-    m = lp.b_eq.shape[0]
-    first, ncols = _columns(free)
-    total = ncols + m
-    tab = np.zeros((m + 1, total + 1))
-    tab[:m, first] = lp.a_eq
-    tab[:m, first[free] + 1] = -lp.a_eq[:, free]
-    tab[:m, total] = lp.b_eq
-    neg = lp.b_eq < 0.0  # rows negated so that the rhs is >= 0
-    tab[:m][neg] *= -1.0
-    tab[np.arange(m), ncols + np.arange(m)] = 1.0
-    basis = ncols + np.arange(m)
+    t, basis, flip = _tableaus(lp.a_eq[None], lp.b_eq[None], lp.free)
+    tab, basis = t[0], basis[0]
+    m, total = basis.shape[0], tab.shape[1] - 1
+    ncols = total - m
     ended, iterations = _run_phase1(tab, basis, ncols, _iteration_cap(m, total))
     if not ended:
         return LpSolution("indeterminate", None, iterations)
     if -tab[m, total] > PHASE1_TOL:
-        duals = _farkas(tab[m, ncols:total], np.where(neg, -1.0, 1.0))
+        duals = _farkas(tab[m, ncols:total], flip[0])
         duals.setflags(write=False)
         return LpSolution("infeasible", None, iterations, duals)
-    x = _finish(lp.a_eq, lp.b_eq, free, tab, basis, ncols)
+    x = _finish(lp.a_eq, lp.b_eq, lp.free, tab, basis, ncols)
     return LpSolution("indeterminate" if x is None else "optimal", x, iterations)
 
 
@@ -207,9 +216,9 @@ def _finish(a_eq, b_eq, free, tab, basis, ncols: int) -> np.ndarray | None:
 
     xhat = np.zeros(tab.shape[1] - 1)
     xhat[basis] = tab[:m, -1]
-    first, _ = _columns(free)
-    x = 0.0 + xhat[first]  # a -0.0 in xhat reads 0.0
-    x[free] += -1.0 * xhat[first[free] + 1]
+    width = free.shape[0]
+    x = 0.0 + xhat[:width]  # a -0.0 in xhat reads 0.0
+    x[free] += -1.0 * xhat[width:ncols]
 
     # defensive residual check: downgrade rather than return a bad vertex
     scale = 1.0 + max(float(np.abs(b_eq).max(initial=0.0)),
@@ -250,8 +259,10 @@ def coargmax_lp(unembeddings, i: int, j: int) -> LinearProgram:
     translation of the labels, so no centring is needed.
     """
     g = unembeddings.vectors
-    _check_pairs(g.shape[0], [(i, j)])
-    return LinearProgram(*_coargmax_system(np.ldexp(g, -pow2_exponent(g)), i, j))
+    k = g.shape[0]
+    _check_pairs(k, [(i, j)])
+    a_eq, b_eq = _pair_systems(np.ldexp(g, -pow2_exponent(g)), i, j)
+    return LinearProgram(a_eq, b_eq, np.arange(k - 1) == k - 2)
 
 
 def _check_pairs(k: int, pairs) -> None:
@@ -262,20 +273,43 @@ def _check_pairs(k: int, pairs) -> None:
             raise IndexError(f"label indices ({i}, {j}) out of range for k={k}")
 
 
-def _coargmax_system(g, i: int, j: int):
-    """coargmax_lp's (a_eq, b_eq, free) on the rescaled model g."""
+def _others(k: int, i, j) -> np.ndarray:
+    """The labels other than i and j, in index order.  For arrays of pairs,
+    one row per pair: all pairs of one call have i != j, or all have
+    i = j."""
+    i, j = np.asarray(i)[..., None], np.asarray(j)[..., None]
+    if i.size and i.flat[0] == j.flat[0]:
+        rest = np.arange(k - 1)
+        return rest + (rest >= i)
+    rest = np.arange(k - 2)
+    return rest + (rest >= np.minimum(i, j)) + (rest >= np.maximum(i, j) - 1)
+
+
+def _pair_systems(g, i, j, out=None):
+    """The (a_eq, b_eq) of the pair system (i, j) on the rescaled model g,
+    stacked along the leading axes of i and j (a pair of ints gives one
+    system): columns (g_l, 1) for every other label l in index order, then
+    (g_i - g_j, 0) for s, the one free variable; rhs (g_i, 1).  For i = j
+    it is label i's hull system plus a zero s column.  All pairs of one
+    call have i != j, or all have i = j.
+
+    The columns are gathered as rows of one table into `out` (a new array
+    by default; else a contiguous float array of the shape of the
+    columns), and a_eq is their transposed view."""
     k, d = g.shape
-    others = [m for m in range(k) if m not in (i, j)]
-    a_eq = np.zeros((d + 1, k - 1))
-    a_eq[:d, :-1] = g[others].T
-    a_eq[:d, -1] = g[i] - g[j]
-    a_eq[d, :-1] = 1.0
-    free = np.zeros(k - 1, dtype=bool)
-    free[-1] = True
-    return a_eq, np.append(g[i], 1.0), free
+    i, j = np.asarray(i), np.asarray(j)
+    table = np.ones((k + i.size, d + 1))  # (g_l, 1), then (g_i - g_j, 0)
+    table[:k, :d] = g
+    table[k:, :d] = (g[i] - g[j]).reshape(-1, d)
+    table[k:, d] = 0.0
+    s = k + np.arange(i.size).reshape(i.shape + (1,))
+    rows = np.concatenate([_others(k, i, j), s], axis=-1)
+    # every index is in range; "clip" lets take write into out unbuffered
+    columns = np.take(table, rows, axis=0, out=out, mode="clip")
+    return np.swapaxes(columns, -1, -2), table[i]
 
 
-# Bytes of pair tableaus that coargmax_phase1 pivots together (at least
+# Bytes of pair tableaus that _coargmax_phase1 pivots together (at least
 # one tableau per stack); one scratch buffer of the same size serves every
 # pivot of a stack.  All 231 pairs of a model with k = 22, d = 16
 # (tableaus of 18 x 40 floats, 1.33 MB) make one stack.
@@ -286,40 +320,26 @@ _STATUSES = ("optimal", "infeasible", "indeterminate")
 _OPTIMAL, _INFEASIBLE, _INDETERMINATE = range(3)
 
 
-def coargmax_phase1(unembeddings, pairs) -> list[LpSolution]:
-    """solve(coargmax_lp(unembeddings, i, j)) for every pair (i, j) of
-    label indices in `pairs`, in order and bit for bit, with the phase 1
-    of many pairs pivoted together.
-
-    It is the LpSolution view of _coargmax_phase1, which returns the
-    results of all pairs as arrays.  The tableaus of the pairs are built
-    straight from the rescaled model and stacked, up to _STACK_BYTES
-    (2 MiB) of them at a time, so all pairs of a model up to k = 22,
-    d = 16 make one stack.  Each pivot step of a stack applies solve's
-    rules to every tableau on its own: Dantzig pricing with ties to the
-    lowest column, the ratio test with ties to the lowest basic index,
-    Bland's rule after too many degenerate pivots of that tableau, and
-    the iteration cap.  After each step, all tableaus whose phase 1 ended
-    retire in one pass: their statuses, Farkas duals and iterations (the
-    step count) are written as arrays, and live tableaus from the tail of
-    the stack move into the freed slots.  A tableau that ends feasible
-    finishes through solve's own tail (drive-out and residual check)."""
-    g = unembeddings.vectors
-    status, iterations, duals, x = _coargmax_phase1(
-        np.ldexp(g, -pow2_exponent(g)), pairs)
-    return [LpSolution(_STATUSES[code], x[p], steps,
-                       duals[p] if code == _INFEASIBLE else None)
-            for p, (code, steps) in enumerate(zip(status.tolist(),
-                                                  iterations.tolist()))]
-
-
 def _coargmax_phase1(g, pairs):
-    """coargmax_phase1 on g, the model divided by 2**pow2_exponent, as
-    arrays with one entry per pair: (status, iterations, duals, x).
-    status holds codes into _STATUSES.  duals holds the d + 1 phase-1
-    duals where phase 1 ended, a Farkas certificate where it ended
-    infeasible, and NaN where the iteration cap stopped it (read-only).
-    x holds the read-only solution where optimal, else None."""
+    """solve(coargmax_lp(unembeddings, i, j)) for every pair (i, j) of
+    label indices in `pairs`, in order and bit for bit, on g, the model
+    divided by 2**pow2_exponent, as arrays with one entry per pair:
+    (status, iterations, duals, x).  status holds codes into _STATUSES.
+    duals holds the d + 1 phase-1 duals where phase 1 ended, a Farkas
+    certificate where it ended infeasible, and NaN where the iteration cap
+    stopped it (read-only).  x holds the read-only solution where optimal,
+    else None.
+
+    The pairs are pivoted in stacks of up to _STACK_BYTES of tableaus.
+    Each pivot step applies solve's rules to every tableau on its own:
+    Dantzig pricing with ties to the lowest column, the ratio test with
+    ties to the lowest basic index, Bland's rule after too many degenerate
+    pivots of that tableau, and the iteration cap.  After each step, all
+    tableaus whose phase 1 ended retire in one pass: their statuses,
+    Farkas duals and iterations (the step count) are written as arrays,
+    and live tableaus from the tail of the stack move into the freed
+    slots.  A tableau that ends feasible finishes through solve's own tail
+    (drive-out and residual check)."""
     k, d = g.shape
     pairs = [(int(i), int(j)) for i, j in pairs]
     _check_pairs(k, pairs)
@@ -341,39 +361,19 @@ def _phase1_stack(g, pairs, stack: range, out) -> None:
     k, d = g.shape
     n, m = len(stack), d + 1
     i, j = np.array(pairs[stack.start:stack.stop]).T
-    # solve's tableau of coargmax_lp: k structural columns (the other
-    # labels, s+ and s-), one artificial per row, the rhs; rows with a
-    # negative rhs negated; the cost row last
+    # k structural columns (the other labels, s+ and s-).  The systems are
+    # gathered into the scratch buffer, which the pivots overwrite later,
+    # so building them takes no memory of its own.
     total = k + m
-    t = np.zeros((n, m + 1, total + 1))
-    rest = np.arange(k - 2)
-    others = (rest + (rest >= np.minimum(i, j)[:, None])
-              + (rest >= np.maximum(i, j)[:, None] - 1))
-    t[:, :d, :k - 2] = g[others].transpose(0, 2, 1)
-    t[:, d, :k - 2] = 1.0
-    t[:, :d, k - 2] = g[i] - g[j]
-    t[:, :d, k - 1] = -t[:, :d, k - 2]
-    t[:, :d, total] = g[i]
-    t[:, d, total] = 1.0
-    flip = np.where(t[:, :m, total] < 0.0, -1.0, 1.0)
-    t[:, :m, :k] *= flip[:, :, None]
-    t[:, :m, total] *= flip
-    t[:, np.arange(m), k + np.arange(m)] = 1.0
-    basis = k + np.arange(m) + np.zeros((n, 1), dtype=np.intp)
-
-    # phase 1 as in _run_phase1, with cost 1 on the artificials.  The
-    # stacked matmul makes the BLAS call of _run_phase1's cost[basis] @ t
-    # once per tableau, so the sums round alike.
-    ones = np.ones((n, 1, m))  # cost[basis] of the artificial start
-    cost = np.where(np.arange(total) < k, 0.0, 1.0)
-    t[:, m, :total] = cost - (ones @ t[:, :m, :total])[:, 0]
-    t[:, m, total] = -(ones @ t[:, :m, total:])[:, 0, 0]
+    scratch = np.empty((n, m + 1, total + 1))
+    free = np.arange(k - 1) == k - 2
+    systems = scratch.reshape(-1)[:n * (k - 1) * m].reshape(n, k - 1, m)
+    t, basis, flip = _tableaus(*_pair_systems(g, i, j, systems), free)
     bland_after = _bland_after(m, total)
     max_iterations = _iteration_cap(m, total)
     degenerate = np.zeros(n, dtype=np.int64)
     lp_of = np.arange(stack.start, stack.stop)
     slots = np.arange(n)
-    scratch = np.empty_like(t)
     status, steps, duals, x = out
     live, iterations = n, 0
     # the ratios over pivot-column entries <= PIVOT_TOL are masked out
@@ -414,12 +414,17 @@ def _phase1_stack(g, pairs, stack: range, out) -> None:
                 status[at_end] = code
                 steps[at_end] = iterations
                 duals[at_end] = _farkas(t[ended, m, k:total], flip[ended])
-                for s in ended[code == _OPTIMAL].tolist():
-                    p = lp_of[s]  # a retired slot's tableau is free to change
-                    x[p] = _finish(*_coargmax_system(g, *pairs[p]), t[s],
-                                   basis[s], k)
-                    if x[p] is None:
-                        status[p] = _INDETERMINATE
+                done = ended[code == _OPTIMAL]
+                if done.size:  # their systems, built for this step only
+                    q = lp_of[done] - stack.start
+                    a_eq, b_eq = _pair_systems(g, i[q], j[q])
+                    # C order, so each residual rounds as solve's does
+                    a_eq = np.ascontiguousarray(a_eq)
+                    for s, a, b in zip(done.tolist(), a_eq, b_eq):
+                        p = lp_of[s]  # a retired slot's tableau may change
+                        x[p] = _finish(a, b, free, t[s], basis[s], k)
+                        if x[p] is None:
+                            status[p] = _INDETERMINATE
                 # the live tableaus past the new end fill the freed slots
                 live -= ended.size
                 holes = ended[ended < live]
@@ -463,7 +468,5 @@ def hull_lp(unembeddings, i: int) -> LinearProgram:
     k = g.shape[0]
     if not 0 <= i < k:
         raise IndexError(f"label index {i} out of range for k={k}")
-    g = np.ldexp(g, -pow2_exponent(g))
-    a_eq = np.vstack([np.delete(g, i, axis=0).T, np.ones(k - 1)])
-    b_eq = np.append(g[i], 1.0)
-    return LinearProgram(a_eq, b_eq, np.zeros(k - 1, dtype=bool))
+    a_eq, b_eq = _pair_systems(np.ldexp(g, -pow2_exponent(g)), i, i)
+    return LinearProgram(a_eq[:, :-1], b_eq, np.zeros(k - 1, dtype=bool))

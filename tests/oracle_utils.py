@@ -2,7 +2,9 @@
 
 The numeric references are computed with mpmath at 50 significant digits so
 the package's float64 results can be judged against a source that shares
-none of its code paths.  The file-format references at the end are the
+none of its code paths.  The pair-system references are the hand-written
+builds of the Motzkin pair and hull systems that `unembed.lp._pair_systems`
+must match bit for bit.  The file-format references at the end are the
 plain per-field writers and reader that `unembed.model_io` must match byte
 for byte and bit for bit.
 """
@@ -16,6 +18,9 @@ import mpmath
 import numpy as np
 
 from unembed import ModelFormatError
+from unembed.lp import (
+    _INFEASIBLE, _STATUSES, LpSolution, _coargmax_phase1, pow2_exponent,
+)
 
 mpmath.mp.dps = 50
 
@@ -75,6 +80,56 @@ def coargmax_bruteforce(vectors, i, j, samples=720, radii=(0.25, 1.0, 4.0)):
             if ok:
                 return [float(f[0]), float(f[1])]
     return None
+
+
+# --- pair systems, written out label by label -----------------------------
+
+def coargmax_system_reference(g, i, j):
+    """coargmax_lp's (a_eq, b_eq, free) on the rescaled model g: weights on
+    every other label in index order, then the free s."""
+    k, d = g.shape
+    others = [m for m in range(k) if m not in (i, j)]
+    a_eq = np.zeros((d + 1, k - 1))
+    a_eq[:d, :-1] = g[others].T
+    a_eq[:d, -1] = g[i] - g[j]
+    a_eq[d, :-1] = 1.0
+    free = np.zeros(k - 1, dtype=bool)
+    free[-1] = True
+    return a_eq, np.append(g[i], 1.0), free
+
+
+def hull_system_reference(g, i):
+    """hull_lp's (a_eq, b_eq) on the rescaled model g: weights on every
+    other label in index order, no s."""
+    k = g.shape[0]
+    return np.vstack([np.delete(g, i, axis=0).T, np.ones(k - 1)]), np.append(g[i], 1.0)
+
+
+def no_tie_columns_reference(g, i, j):
+    """Every column of the system of each pair (i_p, j_p), as rows: (g_l, 1)
+    of each other label l, then (g_i - g_j, 0) for s.  All pairs have
+    i != j, or all have i = j (the hull system plus a zero s column)."""
+    k, d = g.shape
+    others = np.array([[m for m in range(k) if m not in (a, b)]
+                       for a, b in zip(i, j)])
+    columns = np.ones((len(i), others.shape[1] + 1, d + 1))
+    columns[:, :-1, :d] = g[others]
+    columns[:, -1, :d] = g[i] - g[j]
+    columns[:, -1, d] = 0.0
+    return columns
+
+
+def phase1_solutions(unembeddings, pairs) -> list:
+    """One LpSolution per pair from the arrays of lp._coargmax_phase1 on
+    the power-of-two-rescaled model, for comparison with
+    solve(coargmax_lp(unembeddings, i, j))."""
+    g = unembeddings.vectors
+    status, iterations, duals, x = _coargmax_phase1(
+        np.ldexp(g, -pow2_exponent(g)), pairs)
+    return [LpSolution(_STATUSES[code], x[p], steps,
+                       duals[p] if code == _INFEASIBLE else None)
+            for p, (code, steps) in enumerate(zip(status.tolist(),
+                                                  iterations.tolist()))]
 
 
 # --- file formats, one Python step per field ------------------------------

@@ -36,8 +36,8 @@ from unembed.geometry import (
     _tie_filter,
     _tie_fraction,
 )
-from unembed.lp import coargmax_lp, coargmax_phase1, hull_lp, solve
-from oracle_utils import coargmax_bruteforce, cosine_reference
+from unembed.lp import coargmax_lp, hull_lp, solve
+from oracle_utils import coargmax_bruteforce, cosine_reference, phase1_solutions
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -243,6 +243,8 @@ class TestCoargmaxFeasible:
     @given(arrays(np.float64, st.tuples(st.integers(2, 7), st.integers(1, 4)),
                   elements=coord),
            st.integers(-1000, 1000))
+    @example(np.array([[2.0, 0.0, 0.0], [0.0, 2.22507386e-309, 0.0],
+                       [0.0, 0.0, 0.0]]), 1)  # the rescale rounds a subnormal
     @settings(max_examples=60, deadline=None)
     def test_tie_graph_under_power_of_two_scale_pair(self, g, p):
         # scale_pair by 2**p is exact while np.ldexp round-trips the
@@ -689,6 +691,27 @@ class TestHullPruning:
         graph = self._assert_matches_pairwise(u)
         assert len(calls[0]) < len(graph) / 2  # most labels are interior
 
+    def test_every_label_a_clear_vertex(self, monkeypatch):
+        # a regular pentagon: the float pre-pass finds every vertex, so no
+        # hull LP is built or solved
+        angles = 2.0 * np.pi * np.arange(5) / 5.0
+        u = _labelled(np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert geometry._clear_vertices(u.vectors).all()
+        solved = []
+        monkeypatch.setattr(geometry, "solve",
+                            lambda lp: solved.append(lp) or solve(lp))
+        graph = self._assert_matches_pairwise(u)
+        assert solved == [] and len(graph) == 10
+
+    def test_hull_proofs_settle_every_pair(self, monkeypatch):
+        # l4 is strictly inside: its proof settles all of its pairs, so the
+        # stacked phase 1 gets no pair at all
+        u = _labelled([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [2.0, 0.0], [1.0, 1.0]])
+        calls = _counting_pair_decider(monkeypatch)
+        graph = self._assert_matches_pairwise(u, rows=[4])
+        assert calls[0] == []  # tie_graph's call; the rest are pairwise
+        assert [rep.verdict for rep in graph.values()] == ["infeasible"] * 4
+
     def test_interior_label_on_an_edge(self):
         # l3 is the midpoint of hull edge l0 l1, l4 is strictly inside:
         # l0 and l1 cannot tie, and neither l3 nor l4 ties with anyone
@@ -822,7 +845,7 @@ class TestBatchedCertificates:
         u = _labelled(g)
         scaled = geometry._rescaled(g)[0]
         pairs = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
-        sols = coargmax_phase1(u, pairs)
+        sols = phase1_solutions(u, pairs)
         tie = [(p, s) for p, s in zip(pairs, sols) if s.status == "infeasible"]
         no_tie = [(p, s) for p, s in zip(pairs, sols) if s.status == "optimal"]
         return u, scaled, tie, no_tie
@@ -922,7 +945,7 @@ class TestBatchedCertificates:
         # which fails; the other pair of the batch is still proven
         g = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         singular = np.array([0.25, 0.25, 0.0, 0.5])  # mu on l2, l3, l4, then s
-        (sol,) = coargmax_phase1(_labelled(g), [(2, 4)])
+        (sol,) = phase1_solutions(_labelled(g), [(2, 4)])
         assert sol.status == "optimal"
         x = np.array([singular, sol.x])
         proven = _no_tie_filter(g, np.array([0, 2]), np.array([1, 4]), x)

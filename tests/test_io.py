@@ -100,16 +100,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             save_model(AWKWARD, str(tmp_path / "model.dat"))
 
-    def test_bundled_data_files_match_fixtures(self, data_dir):
-        for name in example_names():
-            model = example(name).model
-            for ext in ("csv", "json"):
-                back = load_model(str(data_dir / f"{name}.{ext}"))
-                assert back.labels == model.labels
-                np.testing.assert_array_equal(
-                    back.unembeddings.vectors, model.unembeddings.vectors
-                )
-
 
 def _write(tmp_path, text, name="bad.csv"):
     path = tmp_path / name

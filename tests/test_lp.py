@@ -12,7 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from unembed import LinearProgram, UnembeddingSet, coargmax_lp
 from unembed import lp as lp_module
-from unembed.lp import PIVOT_TOL, coargmax_phase1, hull_lp, solve
+from unembed.lp import (
+    PIVOT_TOL, _coargmax_phase1, _pair_systems, hull_lp, pow2_exponent, solve,
+)
+from oracle_utils import (
+    coargmax_system_reference, hull_system_reference, no_tie_columns_reference,
+    phase1_solutions,
+)
 
 
 def _scipy_solve(lp: LinearProgram):
@@ -256,6 +262,72 @@ class TestHullLp:
                 assert solve(lp).status == _highs_status(lp)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and values, signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def _pair_system_models(draw):
+    """Models of k = 3-11 labels in d = 1-5 with signed zeros, duplicate
+    rows, zero columns and a power-of-two scale."""
+    k, d = draw(st.integers(3, 11)), draw(st.integers(1, 5))
+    g = draw(arrays(np.float64, (k, d), elements=st.one_of(
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0]))))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                        st.integers(0, k - 1)), max_size=3)):
+        g[a] = g[b]
+    g[:, draw(st.lists(st.integers(0, d - 1), max_size=2))] = 0.0
+    return np.ldexp(g, draw(st.integers(-30, 30)))
+
+
+class TestPairSystems:
+    """_pair_systems is the one build of the pair and hull systems: it must
+    match the hand-written builds of tests/oracle_utils.py bit for bit."""
+
+    @given(_pair_system_models())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_hand_built_references(self, g):
+        u = _labelled(g)
+        k = len(g)
+        scaled = np.ldexp(g, -pow2_exponent(g))
+        pairs = _ordered_pairs(k)
+        i, j = np.array(pairs).T
+        a_eq, b_eq = _pair_systems(scaled, i, j)
+        for p, (a, b) in enumerate(pairs):
+            ref = coargmax_system_reference(scaled, a, b)
+            assert _same_bits(a_eq[p], ref[0]) and _same_bits(b_eq[p], ref[1])
+            one = _pair_systems(scaled, a, b)  # a pair of ints: one system
+            assert _same_bits(one[0], ref[0]) and _same_bits(one[1], ref[1])
+            lp = coargmax_lp(u, a, b)
+            assert all(_same_bits(x, y) for x, y in zip(
+                (lp.a_eq, lp.b_eq, lp.free), ref))
+        assert _same_bits(a_eq.transpose(0, 2, 1),
+                          no_tie_columns_reference(scaled, i, j))
+        labels = np.arange(k)
+        a_eq, b_eq = _pair_systems(scaled, labels, labels)
+        for m in range(k):  # the hull system plus a zero s column
+            ref = hull_system_reference(scaled, m)
+            assert _same_bits(a_eq[m, :, :-1], ref[0]) and _same_bits(b_eq[m], ref[1])
+            assert _same_bits(a_eq[m, :, -1], np.zeros(g.shape[1] + 1))
+            lp = hull_lp(u, m)
+            assert _same_bits(lp.a_eq, ref[0]) and _same_bits(lp.b_eq, ref[1])
+        assert _same_bits(a_eq.transpose(0, 2, 1),
+                          no_tie_columns_reference(scaled, labels, labels))
+
+    def test_zero_pairs(self):
+        g = np.random.default_rng(5).standard_normal((6, 3))
+        none = np.zeros(0, dtype=np.intp)
+        a_eq, b_eq = _pair_systems(g, none, none)
+        assert a_eq.shape == (0, 4, 5) and b_eq.shape == (0, 4)
+        status, iterations, duals, x = _coargmax_phase1(g, [])
+        assert status.shape == iterations.shape == (0,)
+        assert duals.shape == (0, 4) and x == []
+
+
 def _degenerate_model():
     g = np.random.default_rng(12).standard_normal((10, 3))
     g[[4, 7]] = g[1]
@@ -286,7 +358,7 @@ def _assert_matches_solve(g, pairs=None):
     bit: status, iterations, x and duals."""
     u = _labelled(g)
     pairs = _ordered_pairs(u.k) if pairs is None else pairs
-    stacked = coargmax_phase1(u, pairs)
+    stacked = phase1_solutions(u, pairs)
     assert len(stacked) == len(pairs)
     for (i, j), sol in zip(pairs, stacked):
         assert _fingerprint(sol) == _fingerprint(solve(coargmax_lp(u, i, j))), (i, j)
@@ -358,7 +430,7 @@ class TestCoargmaxPhase1:
     def test_stack_size_changes_nothing(self, per_stack, monkeypatch):
         g = np.random.default_rng(11).standard_normal((9, 3))
         u, pairs = _labelled(g), _ordered_pairs(9)
-        expected = [_fingerprint(sol) for sol in coargmax_phase1(u, pairs)]
+        expected = [_fingerprint(sol) for sol in phase1_solutions(u, pairs)]
         tableau_bytes = 8 * (3 + 2) * (9 + 3 + 2)
         monkeypatch.setattr(lp_module, "_STACK_BYTES", per_stack * tableau_bytes)
         sizes = []
@@ -369,7 +441,7 @@ class TestCoargmaxPhase1:
             return stack(g, pairs, part, out)
 
         monkeypatch.setattr(lp_module, "_phase1_stack", counted)
-        assert [_fingerprint(sol) for sol in coargmax_phase1(u, pairs)] == expected
+        assert [_fingerprint(sol) for sol in phase1_solutions(u, pairs)] == expected
         assert sizes == [per_stack] * (len(pairs) // per_stack) + (
             [len(pairs) % per_stack] if len(pairs) % per_stack else [])
 
@@ -391,10 +463,10 @@ class TestCoargmaxPhase1:
         with mock.patch.object(lp_module, "_bland_after", (
                 lp_module._bland_after if bland_after is None
                 else lambda rows, cols: bland_after)):
-            expected = dict(zip(pairs, map(_fingerprint, coargmax_phase1(u, pairs))))
+            expected = dict(zip(pairs, map(_fingerprint, phase1_solutions(u, pairs))))
             budget = per_stack * 8 * (d + 2) * (k + d + 2)
             with mock.patch.object(lp_module, "_STACK_BYTES", budget):
-                got = coargmax_phase1(u, order)
+                got = phase1_solutions(u, order)
         assert [_fingerprint(sol) for sol in got] == [expected[p] for p in order]
 
     def test_bland_rule_matches(self, monkeypatch):
@@ -402,7 +474,7 @@ class TestCoargmaxPhase1:
         # switch per tableau exactly when solve does
         g = _degenerate_model()
         u, pairs = _labelled(g), _ordered_pairs(10)
-        dantzig = [sol.iterations for sol in coargmax_phase1(u, pairs)]
+        dantzig = [sol.iterations for sol in phase1_solutions(u, pairs)]
         monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)
         bland = _assert_matches_solve(g)
         assert [sol.iterations for sol in bland] != dantzig
@@ -425,11 +497,11 @@ class TestCoargmaxPhase1:
 
     def test_pairs_validated(self, centered):
         u = centered.model.unembeddings
-        assert coargmax_phase1(u, []) == []
+        assert phase1_solutions(u, []) == []
         with pytest.raises(ValueError):
-            coargmax_phase1(u, [(0, 1), (2, 2)])
+            phase1_solutions(u, [(0, 1), (2, 2)])
         with pytest.raises(IndexError):
-            coargmax_phase1(u, [(0, 5)])
+            phase1_solutions(u, [(0, 5)])
 
     @given(arrays(np.float64, st.tuples(st.integers(2, 8), st.integers(1, 4)),
                   elements=st.floats(-10.0, 10.0, allow_nan=False,

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pkgutil
 import subprocess
 import sys
 import types
@@ -42,3 +43,16 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks `from unembed.<module> import *`
+    import unembed
+
+    modules = [unembed] + [importlib.import_module(f"unembed.{info.name}")
+                           for info in pkgutil.iter_modules(unembed.__path__)]
+    for mod in modules:
+        missing = [name for name in getattr(mod, "__all__", ())
+                   if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)
+        exec(f"from {mod.__name__} import *", {})

@@ -110,7 +110,7 @@ def _similarity_section(model: SoftmaxModel, metric: str) -> dict:
     return {
         "metric": metric,
         "labels": list(sim.labels),
-        "values": [[float(v) for v in row] for row in sim.values],
+        "values": sim.values.tolist(),
     }
 
 
@@ -136,7 +136,7 @@ def _pair_entry(model: SoftmaxModel, rep, oracle: bool | None) -> dict:
         "label_j": model.labels[rep.j],
         "verdict": rep.verdict,
         "margin": float(rep.margin) if math.isfinite(rep.margin) else None,
-        "witness": None if rep.witness is None else [float(v) for v in rep.witness],
+        "witness": None if rep.witness is None else rep.witness.tolist(),
         "oracle": oracle,
     }
 
@@ -164,17 +164,17 @@ def _feasibility_section(model: SoftmaxModel, eps: float, indices) -> dict:
     """Verdicts of every pair that involves a label in `indices`, each
     pair decided once and listed as i < j, plus each label's partners."""
     u = model.unembeddings
-    graph = tie_graph(u, eps, indices)
-    reps = list(graph.values())
+    reps = list(tie_graph(u, eps, indices).values())
     pairs = [
         _pair_entry(model, rep, oracle)
         for rep, oracle in zip(reps, _check_against_oracle(model, reps))
     ]
-    partners = {
-        u.labels[i]: [u.labels[j] for j in range(u.k)
-                      if j != i and graph[min(i, j), max(i, j)].feasible]
-        for i in indices
-    }
+    a, b = np.array([(rep.i, rep.j) for rep in reps if rep.feasible],
+                    dtype=int).reshape(-1, 2).T
+    ties = np.zeros((u.k, u.k), dtype=bool)
+    ties[a, b] = ties[b, a] = True
+    labels = np.array(u.labels, dtype=object)
+    partners = {u.labels[i]: labels[ties[i]].tolist() for i in indices}
     return {"eps": eps, "pairs": pairs, "partners": partners}
 
 

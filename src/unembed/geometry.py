@@ -344,20 +344,27 @@ def _no_tie_fraction(g, i, j, x) -> bool:
     return _exact_phase1(g, i, j, _support(g, i, j, x)[0]) is None
 
 
+def _exact_system(g, i, j, labels=None):
+    """The columns and right-hand side of lp._pair_systems' pair system
+    (i, j) in exact rationals, with weights on `labels` (default: every
+    other label, in index order): columns (g_l, 1), then the free s split
+    as s+ - s-, so (g_i - g_j, 0) and its negation; rhs (g_i, 1).  Unlike
+    the float system, g_i - g_j is not rounded."""
+    rows = [_fractions(row) for row in g]
+    if labels is None:
+        labels = _others(len(rows), i, j)
+    s = [a - b for a, b in zip(rows[i], rows[j])] + [Fraction(0)]
+    cols = [rows[m] + [Fraction(1)] for m in labels] + [s, [-v for v in s]]
+    return cols, rows[i] + [Fraction(1)]
+
+
 def _exact_phase1(g, i, j, labels=None):
     """Phase 1 of the coargmax_lp system in exact rationals with Bland's
     rule (which terminates), with weights on `labels` (default: every
     other label).  Returns a tie witness f (list of Fractions) when the
     system is infeasible, else None: the pair cannot tie."""
-    rows = [_fractions(row) for row in g]
-    d = len(rows[0])
-    u = [a - b for a, b in zip(rows[j], rows[i])]
-    if labels is None:
-        labels = _others(len(rows), i, j)
-    cols = [rows[m] + [Fraction(1)] for m in labels]
-    cols += [[-v for v in u] + [Fraction(0)], u + [Fraction(0)]]  # s = s+ - s-
-    rhs = rows[i] + [Fraction(1)]
-    m, n = d + 1, len(cols)
+    cols, rhs = _exact_system(g, i, j, labels)
+    m, n = len(rhs), len(cols)
     sign = [-1 if v < 0 else 1 for v in rhs]
     tab = [[sign[r] * col[r] for col in cols]
            + [Fraction(int(a == r)) for a in range(m)] + [sign[r] * rhs[r]]
@@ -381,7 +388,7 @@ def _exact_phase1(g, i, j, labels=None):
     if cost[-1] == 0:  # zero infeasibility: weights on the line exist
         return None
     # y = 1 - (reduced cost of each artificial), signs restored
-    return [sign[r] * (1 - cost[n + r]) for r in range(d)]
+    return [sign[r] * (1 - cost[n + r]) for r in range(m - 1)]
 
 
 def _unit_box(v) -> np.ndarray:

@@ -18,7 +18,8 @@ JSON, one object per model::
 ``embeddings`` is optional.  Grid CSVs carry one row per cell with header
 ``x,y,label_index``.  Analysis reports are JSON objects with the five
 top-level keys ``input``, ``transforms``, ``similarity``, ``feasibility``,
-``equivalence`` (unused sections are null).
+``equivalence`` (unused sections are null).  Models and reports are written
+byte for byte as ``json.dumps(obj, indent=2)`` writes them, plus a newline.
 
 Malformed input raises ModelFormatError naming the offending line or field.
 """
@@ -32,6 +33,7 @@ import os
 import re
 from collections import Counter
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -253,6 +255,108 @@ def load_model(
     return _load_json(path)
 
 
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: int, float, bool and None keys
+    are coerced to their JSON text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _encode(key, "")
+    return _quote(key)
+
+
+def _items(values, nl: str) -> list:
+    """The JSON text of each item of a non-empty list whose items start at
+    indent nl.
+
+    Fast paths: a list of int and float (bool excluded) is formatted by one
+    C-level repr unless it holds nan or inf; a list of dicts that share one
+    tuple of str keys is encoded column by column and filled into one
+    template per item."""
+    kinds = {*map(type, values)}
+    if kinds <= {int, float}:
+        text = list.__repr__(list(values))
+        if "n" not in text:  # else NaN or Infinity, written below
+            return text[1:-1].split(", ")
+    elif kinds == {str}:
+        return list(map(_quote, values))
+    elif kinds == {dict}:
+        keys = {*map(tuple, values)}
+        if len(keys) == 1:
+            keys = keys.pop()
+            if keys and all(type(key) is str for key in keys):
+                inner = nl + "  "
+                columns = [_items([v[key] for v in values], inner)
+                           for key in keys]
+                fields = [_quote(key).replace("%", "%%") + ": %s"
+                          for key in keys]
+                template = "{" + inner + ("," + inner).join(fields) + nl + "}"
+                return [template % row for row in zip(*columns)]
+    return [_encode(v, nl) for v in values]
+
+
+def _encode(obj, nl: str) -> str:
+    """json.dumps(obj, indent=2) for obj starting at indent nl (a newline
+    and the spaces of its nesting)."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_items(obj, inner)) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_key(key) + ": " + _encode(value, inner)
+             for key, value in obj.items()]) + nl + "}"
+    raise TypeError(
+        f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _write(write, obj, nl: str) -> None:
+    """write(_encode(obj, nl)) in pieces: a dict entry by entry and a list
+    of lists row by row, so the text of one row at most is held at once."""
+    if isinstance(obj, dict) and obj:
+        inner, head = nl + "  ", "{"
+        for key, value in obj.items():
+            write(head + inner + _key(key) + ": ")
+            _write(write, value, inner)
+            head = ","
+        write(nl + "}")
+    elif isinstance(obj, list) and obj and {*map(type, obj)} == {list}:
+        inner, head = nl + "  ", "["
+        for value in obj:
+            write(head + inner)
+            _write(write, value, inner)
+            head = ","
+        write(nl + "]")
+    else:
+        write(_encode(obj, nl))
+
+
+def _write_json(handle, obj) -> None:
+    """Write json.dumps(obj, indent=2) + "\n" to handle, byte for byte: two
+    spaces of indent, one element per line, ASCII escapes, shortest-repr
+    floats and NaN/Infinity for non-finite ones."""
+    _write(handle.write, obj, "\n")
+    handle.write("\n")
+
+
 def _write_vector_csv(path: str, id_column: str, names, matrix: np.ndarray):
     """CRLF rows; a name is quoted (by csv.writer) only if it needs it."""
     d = matrix.shape[1]
@@ -304,7 +408,7 @@ def save_model(
     if model.embeddings.n:
         payload["embeddings"] = model.embeddings.points.tolist()
     with open(path, "w") as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(handle, payload)
     return written
 
 
@@ -325,7 +429,7 @@ def save_report(report: dict, path: str) -> None:
     if missing:
         raise ValueError(f"report is missing sections: {missing}")
     with open(path, "w") as handle:
-        handle.write(json.dumps(report, indent=2) + "\n")
+        _write_json(handle, report)
 
 
 def load_report(path: str) -> dict:

@@ -30,13 +30,15 @@ from unembed import (
 from unembed import geometry
 from unembed.geometry import (
     _exact_phase1,
+    _exact_system,
+    _fractions,
     _no_tie_filter,
     _no_tie_fraction,
     _orient2d_signs,
     _tie_filter,
     _tie_fraction,
 )
-from unembed.lp import coargmax_lp, hull_lp, solve
+from unembed.lp import _others, _pair_systems, coargmax_lp, hull_lp, solve
 from oracle_utils import coargmax_bruteforce, cosine_reference, phase1_solutions
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -444,6 +446,30 @@ class TestCertificateChecks:
                 exact = ((fa[0] - fc[0]) * (fb[1] - fc[1])
                          - (fa[1] - fc[1]) * (fb[0] - fc[0]))
                 assert sign == (exact > 0) - (exact < 0)
+
+
+class TestExactSystem:
+    """The exact fallback's system is lp._pair_systems' system in Fractions,
+    with s split into s+ = (g_i - g_j, 0) and s- = -s+."""
+
+    @given(st.integers(3, 8), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pair_systems(self, k, d, data):
+        # dyadic entries, so every float g_i - g_j is exact
+        cells = st.integers(-64, 64).map(lambda n: n / 16.0)
+        g = data.draw(arrays(np.float64, (k, d), elements=cells))
+        subsets = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        for pairs in ([(i, j) for i in range(k) for j in range(k) if i != j],
+                      [(i, i) for i in range(k)]):
+            a_eq, b_eq = _pair_systems(g, *np.array(pairs).T)
+            for a, b, (i, j) in zip(a_eq, b_eq, pairs):
+                others = _others(k, i, j)
+                keep = np.flatnonzero(subsets.random(len(others)) < 0.5)
+                for labels, at in ((None, range(len(others))), (others[keep], keep)):
+                    cols, rhs = _exact_system(g, i, j, labels)
+                    assert cols[:-1] == [_fractions(a[:, c]) for c in [*at, -1]]
+                    assert cols[-1] == [-v for v in cols[-2]]
+                    assert rhs == _fractions(b)
 
 
 class TestCoargmaxOracle2d:

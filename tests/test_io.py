@@ -1,5 +1,8 @@
 """File formats: round-trips, malformed input rejection, grid export."""
 
+import io
+import json
+import os
 import tempfile
 
 import numpy as np
@@ -15,6 +18,7 @@ from oracle_utils import (
     write_vector_csv_reference,
 )
 from unembed import model_io
+from unembed.cli import main
 from unembed import (
     ModelFormatError,
     RegionGrid,
@@ -446,6 +450,111 @@ class TestReports:
     def test_incomplete_report_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_report({"input": None}, str(tmp_path / "r.json"))
+
+
+_SPECIAL = [-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")]
+_INTS = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL)
+_TEXT = st.text(st.sampled_from('ab"\\%/\x00\x1f\x7f\u00e9\u2028\U0001f600 ')
+                | st.characters(), max_size=5)
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+# int, float, bool and None keys are coerced to text as json.dumps does
+_KEYS = _TEXT | st.none() | st.booleans() | _INTS | _FLOATS
+
+
+@st.composite
+def _records(draw, values):
+    """A list of dicts on one key list, some with the keys shuffled or one
+    missing."""
+    keys = draw(st.lists(_TEXT, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [(key, draw(values)) for key in keys]
+        change = draw(st.sampled_from(["same", "same", "shuffled", "missing"]))
+        if change == "shuffled":
+            row = draw(st.permutations(row))
+        elif change == "missing":
+            row = row[1:]
+        rows.append(dict(row))
+    return rows
+
+
+_JSON = st.recursive(
+    _SCALARS | st.lists(_INTS | _FLOATS | st.booleans(), max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)
+                   | _records(inner)),
+    max_leaves=25,
+)
+
+
+def _written(obj) -> str:
+    handle = io.StringIO()
+    model_io._write_json(handle, obj)
+    return handle.getvalue()
+
+
+def _stdlib_round_trip(path) -> bool:
+    with open(path) as handle:
+        text = handle.read()
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """_write_json writes what json.dumps(obj, indent=2) + "\n" does."""
+
+    @given(_JSON)
+    @hyp_example({"%s": [{"a%": 1, "b": 'x"\\\u00e9'}, {"a%": 2.5, "b": None}]})
+    @hyp_example({1: [1, 2.5, True], 1.5: [float("nan"), -0.0, -float("inf")],
+                  None: {False: 0}})
+    @hyp_example([{1: "a"}, {True: "b"}, {1.0: "c"}])
+    @hyp_example([{"w": [0.5, float("inf")]}, {"w": None}, {"w": [2**64, 5e-324]}])
+    @hyp_example([{"a": 1, "b": 2}, {"b": 1, "a": 2}, {"a": 1}, {}])
+    @hyp_example((1e16, (), [{}], {"": []}))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert _written(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 0}, [object()], {"a": {1j: 0}}])
+    def test_unserializable_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            _written(obj)
+
+    def test_cli_outputs_are_indent_2_json(self, tmp_path):
+        # every JSON file the CLI writes reads back to the same bytes
+        labels = ['l"0', "l%1", "l\u00e92", "l3", "l4", "l5", "l6"]
+        g = np.random.default_rng(3).standard_normal((7, 3))
+        model = SoftmaxModel(UnembeddingSet(tuple(labels), g),
+                             synthetic_embeddings(UnembeddingSet(tuple(labels), g),
+                                                  5, seed=1))
+        path = str(tmp_path / "m.json")
+        save_model(model, path)
+        out = tmp_path / "out"
+        out.mkdir()
+        runs = [
+            ["ties", "--input", path, "--all", "--output", f"{out}/ties-all.json"],
+            ["ties", "--input", path, "--index", "2", "--output", f"{out}/ties-2.json"],
+            ["similarity", "--input", path, "--output", f"{out}/sim.json"],
+            ["force-cosine", "--input", path, "--pair", "0", "1", "--target", "-1",
+             "--output", f"{out}/forced.json", "--report", f"{out}/forced-report.json"],
+            ["verify-equivalence", "--input", path, "--other", f"{out}/forced.json",
+             "--output", f"{out}/verify.json"],
+            ["transform", "--input", path, "--op", "scale", "--scale", "3",
+             "--output", f"{out}/scaled.json"],
+        ]
+        runs += [["reproduce", name, "--outdir", f"{out}/reproduce-{name}",
+                  "--points", "20", "--resolution", "10"]
+                 for name in example_names()]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        written = [os.path.join(root, name) for root, _, names in os.walk(out)
+                   for name in names if name.endswith(".json")]
+        assert len(written) == 7 + 4 + 6  # reproduce: 4 reports, 6 models
+        for path in written:
+            assert _stdlib_round_trip(path), path
 
 
 class TestGridExport:

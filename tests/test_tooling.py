@@ -56,3 +56,19 @@ def test_every_exported_name_resolves():
                    if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
         exec(f"from {mod.__name__} import *", {})
+
+
+def test_one_json_writer():
+    # model_io._write_json writes every JSON file byte for byte as
+    # json.dumps(obj, indent=2) would; a json.dump or json.dumps call
+    # elsewhere in the package would be a second writer to keep in step
+    calls = []
+    for path in sorted((ROOT / "src" / "unembed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls += [(path.name, a.name) for a in node.names
+                          if a.name in ("dump", "dumps")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                  and getattr(node.value, "id", None) == "json"):
+                calls.append((path.name, node.attr))
+    assert not calls, calls

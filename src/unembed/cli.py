@@ -10,6 +10,7 @@ fails its own expected values).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -392,6 +393,7 @@ def _cmd_reproduce(args) -> int:
 
 # --- wiring ----------------------------------------------------------------
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="unembed",

@@ -7,14 +7,15 @@ some embedding point?  Formally, is there an f with
 
 Two independent deciders are provided.  `coargmax_feasible` answers in any
 dimension through the (d+1)-row phase-1 LP of `coargmax_lp`, and proves
-the certificate that phase 1 ends with (a tie witness, or labels whose mix
-lies on the line through g_i and g_j) in floats with an error bound, in
-Fractions, or by an exact rational phase 1.  `tie_graph` decides every
-unordered pair once, settles all pairs of a label proven to lie inside the
-convex hull of the others from that one proof, runs the float phase 1 of
-all the other pairs as stacks (`lp._coargmax_phase1`, arrays in and
-out), and checks their certificates with float filters that take whole
-arrays of pairs.
+the certificate that phase 1 ends with in floats with an error bound, in
+Fractions, or by an exact rational phase 1: a tie witness (the Farkas
+duals), or the final basis, whose labels mix onto the line through g_i and
+g_j (a verified solve of the square system on its columns).  `tie_graph`
+decides every unordered pair once, settles all pairs of a label proven to
+lie inside the convex hull of the others from that one proof, runs the
+float phase 1 of all the other pairs as stacks (`lp._coargmax_phase1`,
+arrays in and out), and checks their certificates with float filters that
+take whole arrays of pairs.
 `coargmax_oracle_2d_pairs` answers exactly in two dimensions: there f is
 confined to the line orthogonal to g_i - g_j, so it suffices to test the
 two directions of that line, each sign by an exact orientation predicate;
@@ -278,13 +279,11 @@ def _tie_fraction(g, i, j, f) -> bool:
     return all(_dot(fr, rows[m]) < top for m in _others(len(rows), i, j))
 
 
-def _support(g, i, j, x):
-    """The labels whose weight mu is positive in the float phase-1
-    solution x, whether s is nonzero, and their values (s last)."""
-    mu, s = x[:-1], x[-1]
-    keep = np.flatnonzero(mu > 0.0)
-    values = mu[keep] if s == 0.0 else np.append(mu[keep], s)
-    return _others(g.shape[0], i, j)[keep], s != 0.0, values
+def _support(g, i, j, basis):
+    """The labels on the columns of the final phase-1 basis of the pair
+    system (i, j), in index order: s and artificials (-1) dropped."""
+    others = _others(g.shape[0], i, j)
+    return others[np.sort(basis[(basis >= 0) & (basis < others.size)])]
 
 
 def _inverses(a) -> np.ndarray:
@@ -302,31 +301,29 @@ def _inverses(a) -> np.ndarray:
         return out
 
 
-def _no_tie_filter(g, i, j, x) -> np.ndarray:
-    """For each pair (i_p, j_p) with phase-1 solution x_p (rows of x): True
-    only if the square system on the support of x_p has an exact solution
-    whose weights are all positive (a verified solve: with R ~ A^-1 and
-    |I - R A| summing to beta < 1 by rows, the exact solution is within
-    |R| |b - A x| / (1 - beta) of x)."""
+def _no_tie_filter(g, i, j, basis) -> np.ndarray:
+    """For each pair (i_p, j_p) with final phase-1 basis basis_p (rows of
+    basis; see lp._coargmax_phase1): True only if the square system on the
+    basic columns has an exact solution whose weights are all positive.  A
+    basis that holds an artificial (-1) or both halves of s is unproven.
+
+    The proof is a verified solve (Rump, Acta Numerica 2010): with
+    R ~ A^-1 and |I - R A| summing to beta < 1 by rows, the exact solution
+    is within |R| |b - A z| / (1 - beta) of z = R b."""
     n = g.shape[1] + 1
-    support = x > 0.0
-    support[:, -1] = x[:, -1] != 0.0
-    square = support.sum(axis=1) == n
-    if not square.all():  # no square system to solve: unproven
-        proven = np.zeros(len(i), dtype=bool)
-        if square.any():
-            proven[square] = _no_tie_filter(g, i[square], j[square], x[square])
-        return proven
-    # each pair's system on the support of x_p.  Its s column holds
+    s = g.shape[0] - 1 - (i != j)[:, None]  # the column of s
+    square = (basis >= 0).all(axis=1) & ((basis == s).sum(axis=1) <= 1)
+    proven = np.zeros(len(i), dtype=bool)
+    basis = basis[square]
+    # each pair's system on its basic columns.  Its s column holds
     # g_i - g_j, rounded once; that error, at most u |A|, is covered by
     # adding u to the gamma of each |A| term below.
-    a_eq, b = _pair_systems(g, i, j)
-    columns = a_eq.transpose(0, 2, 1)[support]
-    a = np.ascontiguousarray(columns.reshape(-1, n, n).transpose(0, 2, 1))
-    z = x[support].reshape(-1, n)
+    a_eq, b = _pair_systems(g, i[square], j[square])
+    a = np.take_along_axis(a_eq, basis[:, None, :], axis=2)
     g_n = _gamma(n + 1)
     with np.errstate(all="ignore"):
         r = _inverses(a)
+        z = _matvec(r, b)
         abs_r, abs_a = np.abs(r), np.abs(a)
         c = np.abs(np.eye(n) - r @ a) + (g_n + _U) * (abs_r @ abs_a) + _TINY
         beta = 2.0 * c.sum(axis=2).max(axis=1)
@@ -334,14 +331,16 @@ def _no_tie_filter(g, i, j, x) -> np.ndarray:
                  + (g_n + _U) * _matvec(abs_a, np.abs(z)) + _TINY)
         delta = 2.0 * _matvec(abs_r, resid).max(axis=1) / (1.0 - beta)
         positive = z * (1.0 - 4.0 * _U) > delta[:, None]
-    positive[:, -1] |= support[:, -1]  # s is free: no sign to prove
-    return (beta < 1.0) & positive.all(axis=1)
+    positive |= basis == s[square]  # s is free: no sign to prove
+    proven[square] = (beta < 1.0) & positive.all(axis=1)
+    return proven
 
 
-def _no_tie_fraction(g, i, j, x) -> bool:
+def _no_tie_fraction(g, i, j, basis) -> bool:
     """The same claim as _no_tie_filter, decided by an exact phase 1 over
-    the support of x alone; it also covers rank-deficient systems."""
-    return _exact_phase1(g, i, j, _support(g, i, j, x)[0]) is None
+    the labels of the basis alone; it also covers rank-deficient systems
+    and bases that hold an artificial."""
+    return _exact_phase1(g, i, j, _support(g, i, j, basis)) is None
 
 
 def _exact_system(g, i, j, labels=None):
@@ -442,26 +441,26 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
 
 
-def _no_tie_proofs(g, exact_scale: bool, i, j, x) -> list[str]:
-    """The proof path of each "cannot tie" certificate: the phase-1
-    solution x_p (rows of x) of the pair system (i_p, j_p), for i_p = j_p
-    the weights of a hull system with s = 0.  "float" where the float
-    filter proves it (run in chunks, and only when exact_scale says g is
-    the exactly rescaled model it assumes), else "fraction" where the exact
-    check does, else ""."""
+def _no_tie_proofs(g, exact_scale: bool, i, j, basis) -> list[str]:
+    """The proof path of each "cannot tie" certificate: the final phase-1
+    basis basis_p (rows of basis) of the pair system (i_p, j_p), for
+    i_p = j_p the weights of a hull system in the same form.  "float"
+    where the float filter proves it (run in chunks, and only when
+    exact_scale says g is the exactly rescaled model it assumes), else
+    "fraction" where the exact check does, else ""."""
     passed = np.zeros(len(i), dtype=bool)
     if exact_scale:
         for part in _chunks(len(i), *g.shape):
-            passed[part] = _no_tie_filter(g, i[part], j[part], x[part])
-    return ["float" if ok else "fraction" if _no_tie_fraction(g, a, b, xp)
-            else "" for a, b, xp, ok in zip(i, j, x, passed)]
+            passed[part] = _no_tie_filter(g, i[part], j[part], basis[part])
+    return ["float" if ok else "fraction" if _no_tie_fraction(g, a, b, row)
+            else "" for a, b, row, ok in zip(i, j, basis, passed)]
 
 
 def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
-             status, duals, x) -> list[FeasibilityReport]:
+             status, duals, basis) -> list[FeasibilityReport]:
     """The proven report of each pair (i, j) of `pairs` from the float
     phase 1 of coargmax_lp for each pair in index order, as arrays of
-    _coargmax_phase1: status codes, Farkas duals and solutions.
+    _coargmax_phase1: status codes, Farkas duals and final bases.
 
     The float filters check the certificates of the whole batch at once;
     they run only when exact_scale says `scaled` is the exactly rescaled
@@ -483,12 +482,11 @@ def _reports(unembeddings, scaled, exact_scale: bool, pairs, eps: float,
         for p, fp, ok in zip(tie, f, passed):
             if ok or _tie_fraction(g, lo[p], hi[p], fp):
                 proof[p], direction[p] = "float" if ok else "fraction", fp
-    # phase 1 feasible: its weights mix the other labels onto the line
+    # phase 1 feasible: its basic labels mix onto the line
     no_tie = [p for p, code in enumerate(codes) if code == _OPTIMAL]
     if no_tie:
         for p, path in zip(no_tie, _no_tie_proofs(
-                g, exact_scale, lo[no_tie], hi[no_tie],
-                np.array([x[p] for p in no_tie]))):
+                g, exact_scale, lo[no_tie], hi[no_tie], basis[no_tie])):
             proof[p] = path
     for p in range(len(pairs)):
         if not proof[p]:
@@ -533,9 +531,9 @@ def coargmax_feasible(
         raise ValueError("need two distinct label indices")
     _check_eps(eps)
     scaled, exact_scale = _rescaled(unembeddings.vectors)
-    status, _, duals, x = _coargmax_phase1(scaled, [(min(i, j), max(i, j))])
+    status, _, duals, basis = _coargmax_phase1(scaled, [(min(i, j), max(i, j))])
     return _reports(unembeddings, scaled, exact_scale, [(i, j)], eps,
-                    status, duals, x)[0]
+                    status, duals, basis)[0]
 
 
 def _orient2d_signs(a, b, c) -> np.ndarray:
@@ -629,25 +627,27 @@ def _inside_proofs(unembeddings: UnembeddingSet, labels, scaled,
                    exact_scale: bool) -> dict[int, str]:
     """For each label m of `labels`, the proof path ("float" or "fraction")
     of weights on the other labels whose mix is g_m, found by phase 1 of
-    the hull system (hull_lp's, through lp.solve) and proven like
-    coargmax_feasible's "cannot tie" certificates (as the pair system
-    (m, m), with u = 0 and s = 0); "" when there are none or they cannot
-    be proven."""
+    the hull system (the pair system (m, m) without s, through lp.solve)
+    and proven like coargmax_feasible's "cannot tie" certificates: the
+    columns of its positive weights, padded with -1, stand for the basis;
+    "" when there are none or they cannot be proven."""
     labels = np.array(labels, dtype=np.intp)
-    found, weights = [], []
+    found = []
+    bases = np.full((len(labels), scaled.shape[1] + 1), -1, dtype=np.intp)
     for part in _chunks(len(labels), *scaled.shape):
         a_eq, b_eq = _pair_systems(scaled, labels[part], labels[part])
         no_s = np.zeros(a_eq.shape[-1] - 1, dtype=bool)
         for m, a, b in zip(labels[part].tolist(), a_eq, b_eq):
             sol = solve(LinearProgram(a[:, :-1], b, no_s))
             if sol.status == "optimal":
+                support = np.flatnonzero(sol.x > 0.0)  # at most d + 1: a vertex
+                bases[len(found), :support.size] = support
                 found.append(m)
-                weights.append(np.append(sol.x, 0.0))  # s = 0
     at = np.array(found, dtype=np.intp)
     proofs = dict.fromkeys(labels.tolist(), "")
     proofs.update(zip(found, _no_tie_proofs(
         _checked_model(unembeddings.vectors, scaled, exact_scale), exact_scale,
-        at, at, np.array(weights))))
+        at, at, bases[:len(found)])))
     return proofs
 
 
@@ -704,10 +704,10 @@ def tie_graph(
             else:
                 graph[i, j] = None  # keeps the key order
                 todo.append((i, j))
-    status, _, duals, x = _coargmax_phase1(scaled, todo)
+    status, _, duals, basis = _coargmax_phase1(scaled, todo)
     for part in _chunks(len(todo), *g.shape):
         reports = _reports(unembeddings, scaled, exact_scale, todo[part], eps,
-                           status[part], duals[part], x[part])
+                           status[part], duals[part], basis[part])
         graph.update(zip(todo[part], reports))
     return graph
 

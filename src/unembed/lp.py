@@ -31,13 +31,15 @@ The tie question of a pair of labels and the hull question of one label
 are one system, written out only by _pair_systems: on the rescaled model,
 its columns are (g_l, 1) for every other label l in index order, then
 (g_i - g_j, 0) for the free s, and its rhs is (g_i, 1).  coargmax_lp is
-that system for one pair and hull_lp the system of the pair (i, i)
+that system for one pair; the hull system of label i is the pair (i, i)
 without s.  _tableaus builds the phase-1 tableaus of a stack of systems,
 and solve decides a stack of one.  _coargmax_phase1 decides the pair
 systems of one model as stacks of up to _STACK_BYTES (2 MiB), each tableau
-under the rules above on its own, so every solution is bit-identical to
-solve(coargmax_lp(...)).  It returns its results as arrays, which geometry
-proves without an LpSolution per pair.
+under the rules above on its own, so statuses, iteration counts and duals
+are bit-identical to solve(coargmax_lp(...)).  It returns its results as
+arrays, which geometry proves without an LpSolution per pair; for a pair
+whose phase 1 ends feasible it returns the final basis, not a solution:
+the labels that mix onto the line through g_i and g_j.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "hull_lp", "PIVOT_TOL",
+    "LinearProgram", "LpSolution", "solve", "coargmax_lp", "PIVOT_TOL",
 ]
 
 PIVOT_TOL = 1e-9
@@ -321,14 +323,20 @@ _OPTIMAL, _INFEASIBLE, _INDETERMINATE = range(3)
 
 
 def _coargmax_phase1(g, pairs):
-    """solve(coargmax_lp(unembeddings, i, j)) for every pair (i, j) of
-    label indices in `pairs`, in order and bit for bit, on g, the model
-    divided by 2**pow2_exponent, as arrays with one entry per pair:
-    (status, iterations, duals, x).  status holds codes into _STATUSES.
-    duals holds the d + 1 phase-1 duals where phase 1 ended, a Farkas
+    """Phase 1 of coargmax_lp(unembeddings, i, j) for every pair (i, j) of
+    label indices in `pairs`, in order, on g, the model divided by
+    2**pow2_exponent, as arrays with one entry per pair: (status,
+    iterations, duals, basis).  status holds codes into _STATUSES; it,
+    iterations and duals are bit for bit those of solve, whose residual
+    check on x can still turn an optimal status into indeterminate.  duals
+    holds the d + 1 phase-1 duals where phase 1 ended, a Farkas
     certificate where it ended infeasible, and NaN where the iteration cap
-    stopped it (read-only).  x holds the read-only solution where optimal,
-    else None.
+    stopped it (read-only).  basis holds the d + 1 basic columns of the
+    final tableau where phase 1 ended feasible: an index into the pair
+    system's columns (s- folded onto s, column k - 2), or -1 for an
+    artificial still basic; elsewhere it holds -1 (read-only).  No
+    solution x is read off: the basis is the "cannot tie" certificate that
+    geometry proves.
 
     The pairs are pivoted in stacks of up to _STACK_BYTES of tableaus.
     Each pivot step applies solve's rules to every tableau on its own:
@@ -338,19 +346,19 @@ def _coargmax_phase1(g, pairs):
     tableaus whose phase 1 ended retire in one pass: their statuses,
     Farkas duals and iterations (the step count) are written as arrays,
     and live tableaus from the tail of the stack move into the freed
-    slots.  A tableau that ends feasible finishes through solve's own tail
-    (drive-out and residual check)."""
+    slots.  A tableau that ends feasible leaves only its basis."""
     k, d = g.shape
     pairs = [(int(i), int(j)) for i, j in pairs]
     _check_pairs(k, pairs)
     n = len(pairs)
     out = (np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64),
-           np.full((n, d + 1), np.nan), [None] * n)
+           np.full((n, d + 1), np.nan), np.full((n, d + 1), -1, dtype=np.intp))
     # one tableau: d + 1 rows and the cost row, k + d + 2 columns
     per_stack = max(1, _STACK_BYTES // (8 * (d + 2) * (k + d + 2)))
     for start in range(0, n, per_stack):
         _phase1_stack(g, pairs, range(start, min(start + per_stack, n)), out)
-    out[2].setflags(write=False)
+    for array in out[2:]:
+        array.setflags(write=False)
     return out
 
 
@@ -374,7 +382,7 @@ def _phase1_stack(g, pairs, stack: range, out) -> None:
     degenerate = np.zeros(n, dtype=np.int64)
     lp_of = np.arange(stack.start, stack.stop)
     slots = np.arange(n)
-    status, steps, duals, x = out
+    status, steps, duals, final = out
     live, iterations = n, 0
     # the ratios over pivot-column entries <= PIVOT_TOL are masked out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -415,16 +423,9 @@ def _phase1_stack(g, pairs, stack: range, out) -> None:
                 steps[at_end] = iterations
                 duals[at_end] = _farkas(t[ended, m, k:total], flip[ended])
                 done = ended[code == _OPTIMAL]
-                if done.size:  # their systems, built for this step only
-                    q = lp_of[done] - stack.start
-                    a_eq, b_eq = _pair_systems(g, i[q], j[q])
-                    # C order, so each residual rounds as solve's does
-                    a_eq = np.ascontiguousarray(a_eq)
-                    for s, a, b in zip(done.tolist(), a_eq, b_eq):
-                        p = lp_of[s]  # a retired slot's tableau may change
-                        x[p] = _finish(a, b, free, t[s], basis[s], k)
-                        if x[p] is None:
-                            status[p] = _INDETERMINATE
+                # s- (column k - 1) reads as s, an artificial as -1
+                final[lp_of[done]] = np.where(basis[done] < k,
+                                              np.minimum(basis[done], k - 2), -1)
                 # the live tableaus past the new end fill the freed slots
                 live -= ended.size
                 holes = ended[ended < live]
@@ -452,21 +453,3 @@ def _phase1_stack(g, pairs, stack: range, out) -> None:
             basis[at, row] = col
             iterations += 1
 
-
-def hull_lp(unembeddings, i: int) -> LinearProgram:
-    """Phase-1 LP asking whether label i lies in the convex hull of the
-    other labels: weights mu_k >= 0 on every other label k (in index
-    order) with
-
-        sum_k mu_k g_k = g_i,    sum_k mu_k = 1,
-
-    on the model divided by 2**pow2_exponent(g), as in coargmax_lp.  It is
-    coargmax_lp's system without the s column.  When it is feasible, label
-    i wins nowhere and can tie with no label whose vector differs from
-    g_i."""
-    g = unembeddings.vectors
-    k = g.shape[0]
-    if not 0 <= i < k:
-        raise IndexError(f"label index {i} out of range for k={k}")
-    a_eq, b_eq = _pair_systems(np.ldexp(g, -pow2_exponent(g)), i, i)
-    return LinearProgram(a_eq[:, :-1], b_eq, np.zeros(k - 1, dtype=bool))

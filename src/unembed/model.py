@@ -36,12 +36,6 @@ __all__ = [
 PROB_TOL = 1e-12
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def as_label_vector(values, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float64 array and validate finiteness and d >= 1."""
     arr = np.asarray(values, dtype=np.float64)

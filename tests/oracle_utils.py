@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 from unembed import ModelFormatError
 from unembed.lp import (
-    _INFEASIBLE, _STATUSES, LpSolution, _coargmax_phase1, pow2_exponent,
+    _INFEASIBLE, _OPTIMAL, _STATUSES, _coargmax_phase1, pow2_exponent,
 )
 
 mpmath.mp.dps = 50
@@ -99,8 +100,8 @@ def coargmax_system_reference(g, i, j):
 
 
 def hull_system_reference(g, i):
-    """hull_lp's (a_eq, b_eq) on the rescaled model g: weights on every
-    other label in index order, no s."""
+    """The hull system's (a_eq, b_eq) of label i on the rescaled model g:
+    weights on every other label in index order, no s."""
     k = g.shape[0]
     return np.vstack([np.delete(g, i, axis=0).T, np.ones(k - 1)]), np.append(g[i], 1.0)
 
@@ -119,15 +120,26 @@ def no_tie_columns_reference(g, i, j):
     return columns
 
 
+class Phase1(NamedTuple):
+    """One pair's result of lp._coargmax_phase1: duals only where phase 1
+    ended infeasible, the final basis only where it ended feasible."""
+
+    status: str
+    iterations: int
+    duals: np.ndarray | None
+    basis: np.ndarray | None
+
+
 def phase1_solutions(unembeddings, pairs) -> list:
-    """One LpSolution per pair from the arrays of lp._coargmax_phase1 on
-    the power-of-two-rescaled model, for comparison with
+    """One Phase1 per pair from the arrays of lp._coargmax_phase1 on the
+    power-of-two-rescaled model, for comparison with
     solve(coargmax_lp(unembeddings, i, j))."""
     g = unembeddings.vectors
-    status, iterations, duals, x = _coargmax_phase1(
+    status, iterations, duals, basis = _coargmax_phase1(
         np.ldexp(g, -pow2_exponent(g)), pairs)
-    return [LpSolution(_STATUSES[code], x[p], steps,
-                       duals[p] if code == _INFEASIBLE else None)
+    return [Phase1(_STATUSES[code], steps,
+                   duals[p] if code == _INFEASIBLE else None,
+                   basis[p] if code == _OPTIMAL else None)
             for p, (code, steps) in enumerate(zip(status.tolist(),
                                                   iterations.tolist()))]
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from unembed import SoftmaxModel, UnembeddingSet, load_model, load_report, save_model
+from unembed import cli
 from unembed.cli import main
 
 
@@ -378,6 +379,18 @@ class TestReproduce:
 
 
 class TestExitCodes:
+    def test_one_parser_serves_every_call(self, data_dir, capsys):
+        # a usage error, --help and a valid command in one process print
+        # and exit exactly as each does on a parser of its own
+        runs = [["ties"], ["--help"],
+                ["ties", "--input", _model_path(data_dir, "centered"), "--index", "2"]]
+        alone = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            alone.append((main(argv), capsys.readouterr()))
+        assert [code for code, _ in alone] == [3, 0, 0]
+        assert [(main(argv), capsys.readouterr()) for argv in runs] == alone
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["similarity", "--input",
                      str(tmp_path / "absent.csv")]) == 2

@@ -1,5 +1,7 @@
 """Similarity metrics, tie feasibility (LP and exact oracle), region grids."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,8 +40,10 @@ from unembed.geometry import (
     _tie_filter,
     _tie_fraction,
 )
-from unembed.lp import _others, _pair_systems, coargmax_lp, hull_lp, solve
-from oracle_utils import coargmax_bruteforce, cosine_reference, phase1_solutions
+from unembed.lp import LinearProgram, _others, _pair_systems, solve
+from oracle_utils import (
+    coargmax_bruteforce, cosine_reference, hull_system_reference, phase1_solutions,
+)
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -369,24 +373,48 @@ class TestCertificateChecks:
                     assert not _tie_filter(g, np.full(20, i), np.full(20, j), fs).any()
                     for f in fs:
                         assert not _tie_fraction(g, i, j, f)
-                else:
-                    x = np.append(np.full(k - 2, 1.0 / (k - 2)), 0.5)
-                    assert not _no_tie_filter(g, np.array([i]), np.array([j]), x[None])[0]
-                    assert not _no_tie_fraction(g, i, j, x)
+                else:  # no weights exist, so no basis may pass
+                    for basis in itertools.combinations(range(k - 1), u.d + 1):
+                        basis = np.array(basis)
+                        assert not _no_tie_filter(g, np.array([i]), np.array([j]),
+                                                  basis[None])[0]
+                        assert not _no_tie_fraction(g, i, j, basis)
 
     def test_phase1_near_miss_is_rejected(self):
         # phase 1 calls the 1.25e-10 tie of pair (2, 4) infeasible within
-        # its tolerance; its weights must fail both exact checks
+        # its tolerance; its basis must fail both exact checks
         u = UnembeddingSet(tuple("abcde"), [[0.0, -1.0], [0.0, -2.0],
                                              [2.0, 0.0], [1.0, 0.0],
                                              [0.0, 1e-9]])
-        sol = solve(coargmax_lp(u, 2, 4))
+        (sol,) = phase1_solutions(u, [(2, 4)])
         assert sol.status == "optimal"
         g = u.vectors / 4.0  # the LP's power-of-two rescale
-        assert not _no_tie_filter(g, np.array([2]), np.array([4]), sol.x[None])[0]
-        assert not _no_tie_fraction(g, 2, 4, sol.x)
+        assert not _no_tie_filter(g, np.array([2]), np.array([4]), sol.basis[None])[0]
+        assert not _no_tie_fraction(g, 2, 4, sol.basis)
         rep = coargmax_feasible(u, 2, 4)
         assert (rep.verdict, rep.proof) == ("degenerate", "exact")
+
+    def test_wrong_bases_rejected(self, monkeypatch):
+        # l2 and l3 mix onto the line through l0 and l1 (the y axis), so
+        # the pair cannot tie.  Columns 0-3 are l2-l5, column 4 is s.  A
+        # basis that holds an artificial (-1) or both halves of s, or one
+        # whose exact weights are negative (3 on l4, -2 on l5), proves
+        # nothing, and coargmax_feasible still proves the verdict
+        u = _labelled([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0],
+                       [2.0, 0.0], [3.0, 0.0]])
+        g = u.vectors / 4.0  # the LP's power-of-two rescale
+        i, j = np.array([0]), np.array([1])
+        assert _no_tie_filter(g, i, j, np.array([[0, 1, 4]])).tolist() == [True]
+        assert coargmax_feasible(u, 0, 1).proof == "float"
+        phase1 = geometry._coargmax_phase1
+        for wrong in ([0, -1, 4], [0, 4, 4], [2, 3, 4]):
+            basis = np.array([wrong])
+            assert not _no_tie_filter(g, i, j, basis)[0], wrong
+            assert not _no_tie_fraction(g, 0, 1, basis[0]), wrong
+            monkeypatch.setattr(geometry, "_coargmax_phase1",
+                                lambda g, pairs, basis=basis: phase1(g, pairs)[:3] + (basis,))
+            rep = coargmax_feasible(u, 0, 1)
+            assert (rep.verdict, rep.proof) == ("infeasible", "exact"), wrong
 
     def test_collinear_direction_is_not_a_witness(self):
         g = np.array([[0.0, 0.0], [5.0, 5.0], [4.0097, 4.0097]])
@@ -752,7 +780,8 @@ class TestHullPruning:
         # the degenerate ties (0, 4) and (2, 4) survive
         u = _labelled([[0.0, -1.0], [0.0, -2.0], [2.0, 0.0], [1.0, 0.0],
                        [1.0, 1e-9]])
-        assert solve(hull_lp(u, 4)).status == "optimal"
+        a_eq, b_eq = hull_system_reference(geometry._rescaled(u.vectors)[0], 4)
+        assert solve(LinearProgram(a_eq, b_eq, np.zeros(4, dtype=bool))).status == "optimal"
         graph = self._assert_matches_pairwise(u)
         assert graph[0, 4].verdict == graph[2, 4].verdict == "degenerate"
 
@@ -900,24 +929,24 @@ class TestBatchedCertificates:
                 assert np.array_equal(w[r], w1[0]) and margin[r] == m1[0]
         if no_tie:
             i, j = np.array([p for p, _ in no_tie]).T
-            x = np.array([s.x for _, s in no_tie])
-            proven = _no_tie_filter(scaled, i, j, x)
+            basis = np.array([s.basis for _, s in no_tie])
+            proven = _no_tie_filter(scaled, i, j, basis)
             for r, ok in enumerate(proven.tolist()):
-                one = _no_tie_filter(scaled, i[r:r + 1], j[r:r + 1], x[r:r + 1])
+                one = _no_tie_filter(scaled, i[r:r + 1], j[r:r + 1], basis[r:r + 1])
                 assert one.tolist() == [ok], (name, r)
                 if ok and r % step == 0:
-                    assert _no_tie_fraction(scaled, i[r], j[r], x[r]), (name, r)
+                    assert _no_tie_fraction(scaled, i[r], j[r], basis[r]), (name, r)
                     if small:
                         assert _exact_phase1(scaled, i[r], j[r]) is None
         # one batch of reports of both statuses against batches of one
         pairs = [p for p, _ in tie + no_tie]
         exact_scale = geometry._rescaled(g)[1]
-        status, _, duals, x = geometry._coargmax_phase1(scaled, pairs)
+        status, _, duals, basis = geometry._coargmax_phase1(scaled, pairs)
         reports = geometry._reports(u, scaled, exact_scale, pairs, 1e-7,
-                                    status, duals, x)
+                                    status, duals, basis)
         for r, (p, rep) in enumerate(zip(pairs, reports)):
-            (one,) = geometry._reports(u, scaled, exact_scale, [p], 1e-7,
-                                       status[r:r + 1], duals[r:r + 1], x[r:r + 1])
+            (one,) = geometry._reports(u, scaled, exact_scale, [p], 1e-7, status[r:r + 1],
+                                       duals[r:r + 1], basis[r:r + 1])
             assert _same_report(rep, one) and rep.proof == one.proof, (name, p)
             assert _same_report(rep, coargmax_feasible(u, *p)), (name, p)
 
@@ -930,7 +959,7 @@ class TestBatchedCertificates:
         f = geometry._unit_box(np.array([s.duals[: g.shape[1]] for _, s in tie]))
         assert _tie_filter(scaled, i, j, f).all()
         i, j = np.array([p for p, _ in no_tie]).T
-        assert _no_tie_filter(scaled, i, j, np.array([s.x for _, s in no_tie])).all()
+        assert _no_tie_filter(scaled, i, j, np.array([s.basis for _, s in no_tie])).all()
 
     def test_tie_filter_threshold_is_twice_the_budget(self):
         # f = (1, 0) ties g_0 and g_1 exactly and beats g_2 = (1 - t, 0)
@@ -950,13 +979,13 @@ class TestBatchedCertificates:
         # inverse is exact; the stated bound on the weights' error is about
         # 4.2e-15, so the filter proves them up to p = 46 (weight 7.1e-15)
         # and not from p = 47 (3.6e-15); the exact check proves them all
+        basis = np.array([[0, 1, 2]])  # g_2, g_3 and s
         for p in range(44, 50):
             y = 1.0 - 2.0 ** -p
             g = np.array([[0.0, y], [1.0, y], [1.0, 1.0], [-1.0, -1.0]])
-            x = np.array([[1.0 - 2.0 ** -(p + 1), 2.0 ** -(p + 1), y]])
-            proven = _no_tie_filter(g, np.array([0]), np.array([1]), x)
+            proven = _no_tie_filter(g, np.array([0]), np.array([1]), basis)
             assert proven.tolist() == [p <= 46], p
-            assert _no_tie_fraction(g, 0, 1, x[0])
+            assert _no_tie_fraction(g, 0, 1, basis[0])
 
     def test_off_line_direction_rejected(self):
         # f = (1, 0) beats g_2 but does not tie g_0 and g_1; its projection
@@ -970,13 +999,13 @@ class TestBatchedCertificates:
         # l2 = l3: weights on both (and s) give a singular 3 x 3 system,
         # which fails; the other pair of the batch is still proven
         g = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        singular = np.array([0.25, 0.25, 0.0, 0.5])  # mu on l2, l3, l4, then s
+        singular = np.array([0, 1, 3])  # l2, l3 and s (l4 is column 2)
         (sol,) = phase1_solutions(_labelled(g), [(2, 4)])
         assert sol.status == "optimal"
-        x = np.array([singular, sol.x])
-        proven = _no_tie_filter(g, np.array([0, 2]), np.array([1, 4]), x)
+        basis = np.array([singular, sol.basis])
+        proven = _no_tie_filter(g, np.array([0, 2]), np.array([1, 4]), basis)
         assert proven.tolist() == [False, True]
-        assert not _no_tie_filter(g, np.array([0]), np.array([1]), x[:1])[0]
+        assert not _no_tie_filter(g, np.array([0]), np.array([1]), basis[:1])[0]
 
     @pytest.mark.parametrize("d", [2, 8])
     def test_chunks_of_one_pair(self, d, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from unembed import LinearProgram, UnembeddingSet, coargmax_lp
 from unembed import lp as lp_module
 from unembed.lp import (
-    PIVOT_TOL, _coargmax_phase1, _pair_systems, hull_lp, pow2_exponent, solve,
+    PIVOT_TOL, _coargmax_phase1, _pair_systems, pow2_exponent, solve,
 )
 from oracle_utils import (
     coargmax_system_reference, hull_system_reference, no_tie_columns_reference,
@@ -100,7 +100,7 @@ class TestGoldenProblems:
         # each solve must end below the cap with HiGHS's status
         u = _labelled(_degenerate_model())
         systems = ([coargmax_lp(u, i, j) for i, j in _ordered_pairs(u.k)]
-                   + [hull_lp(u, i) for i in range(u.k)])
+                   + [_hull_lp(u, i) for i in range(u.k)])
         dantzig = [solve(lp).iterations for lp in systems]
         monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 0)
         bland = []
@@ -236,10 +236,18 @@ class TestCoargmaxLp:
                     assert solve(lp).status == _highs_status(lp)
 
 
+def _hull_lp(u, i) -> LinearProgram:
+    """Label i's hull system as tie_graph solves it: the pair system (i, i)
+    of the rescaled model without s."""
+    g = u.vectors
+    a_eq, b_eq = _pair_systems(np.ldexp(g, -pow2_exponent(g)), i, i)
+    return LinearProgram(a_eq[:, :-1], b_eq, np.zeros(u.k - 1, dtype=bool))
+
+
 class TestHullLp:
     def test_program_shape(self, centered):
         u = centered.model.unembeddings
-        lp = hull_lp(u, 2)
+        lp = _hull_lp(u, 2)
         # weights >= 0 on every other label, no s
         assert lp.a_eq.shape == (u.d + 1, u.k - 1)
         assert not lp.free.any()
@@ -248,8 +256,9 @@ class TestHullLp:
         np.testing.assert_array_equal(lp.a_eq[:2, 2], u.vector(3) / 2)
 
     def test_index_validated(self, centered):
+        # the gather clips its indices, so a bad label must fail before it
         with pytest.raises(IndexError):
-            hull_lp(centered.model.unembeddings, 5)
+            _pair_systems(centered.model.unembeddings.vectors, 5, 5)
 
     def test_statuses_match_scipy(self, rng):
         # feasible exactly when the label lies in the hull of the others
@@ -258,7 +267,7 @@ class TestHullLp:
             g = rng.standard_normal((k, d))
             u = UnembeddingSet(tuple(f"l{m}" for m in range(k)), g)
             for i in range(k):
-                lp = hull_lp(u, i)
+                lp = _hull_lp(u, i)
                 assert solve(lp).status == _highs_status(lp)
 
 
@@ -313,8 +322,6 @@ class TestPairSystems:
             ref = hull_system_reference(scaled, m)
             assert _same_bits(a_eq[m, :, :-1], ref[0]) and _same_bits(b_eq[m], ref[1])
             assert _same_bits(a_eq[m, :, -1], np.zeros(g.shape[1] + 1))
-            lp = hull_lp(u, m)
-            assert _same_bits(lp.a_eq, ref[0]) and _same_bits(lp.b_eq, ref[1])
         assert _same_bits(a_eq.transpose(0, 2, 1),
                           no_tie_columns_reference(scaled, labels, labels))
 
@@ -323,9 +330,9 @@ class TestPairSystems:
         none = np.zeros(0, dtype=np.intp)
         a_eq, b_eq = _pair_systems(g, none, none)
         assert a_eq.shape == (0, 4, 5) and b_eq.shape == (0, 4)
-        status, iterations, duals, x = _coargmax_phase1(g, [])
+        status, iterations, duals, basis = _coargmax_phase1(g, [])
         assert status.shape == iterations.shape == (0,)
-        assert duals.shape == (0, 4) and x == []
+        assert duals.shape == basis.shape == (0, 4)
 
 
 def _degenerate_model():
@@ -346,7 +353,13 @@ def _bits(v):
 
 
 def _fingerprint(sol):
-    return (sol.status, sol.iterations, _bits(sol.x), _bits(sol.duals))
+    """What the stacked phase 1 shares with solve."""
+    return (sol.status, sol.iterations, _bits(sol.duals))
+
+
+def _stacked_fingerprint(sol):
+    """A stacked result, its final basis included."""
+    return _fingerprint(sol) + (None if sol.basis is None else sol.basis.tolist(),)
 
 
 def _ordered_pairs(k):
@@ -354,14 +367,21 @@ def _ordered_pairs(k):
 
 
 def _assert_matches_solve(g, pairs=None):
-    """Every stacked solution equals solve(coargmax_lp(u, i, j)) bit for
-    bit: status, iterations, x and duals."""
+    """Every stacked result equals solve(coargmax_lp(u, i, j)) bit for bit
+    in status, iterations and duals.  Where phase 1 ended feasible with no
+    artificial left in the basis, solve reads x off that basis, so x is
+    nonzero only on its columns."""
     u = _labelled(g)
     pairs = _ordered_pairs(u.k) if pairs is None else pairs
     stacked = phase1_solutions(u, pairs)
     assert len(stacked) == len(pairs)
     for (i, j), sol in zip(pairs, stacked):
-        assert _fingerprint(sol) == _fingerprint(solve(coargmax_lp(u, i, j))), (i, j)
+        ref = solve(coargmax_lp(u, i, j))
+        assert _fingerprint(sol) == _fingerprint(ref), (i, j)
+        if sol.status == "optimal":
+            assert sol.basis.shape == (u.d + 1,)
+            if (sol.basis >= 0).all():
+                assert set(np.flatnonzero(ref.x).tolist()) <= set(sol.basis.tolist())
     return stacked
 
 
@@ -403,6 +423,12 @@ class TestCoargmaxPhase1:
     def test_small_and_collinear_models(self, g):
         _assert_matches_solve(g)
 
+    def test_basic_artificial(self):
+        # duplicate rows and a zero row leave an artificial basic at the
+        # end of some feasible phase 1s; their bases hold -1
+        stacked = _assert_matches_solve(_degenerate_model())
+        assert any((sol.basis < 0).any() for sol in stacked if sol.status == "optimal")
+
     def test_rotated_subspace(self):
         _assert_matches_solve(_rotated_subspace_model())
 
@@ -430,7 +456,7 @@ class TestCoargmaxPhase1:
     def test_stack_size_changes_nothing(self, per_stack, monkeypatch):
         g = np.random.default_rng(11).standard_normal((9, 3))
         u, pairs = _labelled(g), _ordered_pairs(9)
-        expected = [_fingerprint(sol) for sol in phase1_solutions(u, pairs)]
+        expected = [_stacked_fingerprint(sol) for sol in phase1_solutions(u, pairs)]
         tableau_bytes = 8 * (3 + 2) * (9 + 3 + 2)
         monkeypatch.setattr(lp_module, "_STACK_BYTES", per_stack * tableau_bytes)
         sizes = []
@@ -441,7 +467,7 @@ class TestCoargmaxPhase1:
             return stack(g, pairs, part, out)
 
         monkeypatch.setattr(lp_module, "_phase1_stack", counted)
-        assert [_fingerprint(sol) for sol in phase1_solutions(u, pairs)] == expected
+        assert [_stacked_fingerprint(sol) for sol in phase1_solutions(u, pairs)] == expected
         assert sizes == [per_stack] * (len(pairs) // per_stack) + (
             [len(pairs) % per_stack] if len(pairs) % per_stack else [])
 
@@ -463,11 +489,12 @@ class TestCoargmaxPhase1:
         with mock.patch.object(lp_module, "_bland_after", (
                 lp_module._bland_after if bland_after is None
                 else lambda rows, cols: bland_after)):
-            expected = dict(zip(pairs, map(_fingerprint, phase1_solutions(u, pairs))))
+            expected = dict(zip(pairs, map(_stacked_fingerprint,
+                                           phase1_solutions(u, pairs))))
             budget = per_stack * 8 * (d + 2) * (k + d + 2)
             with mock.patch.object(lp_module, "_STACK_BYTES", budget):
                 got = phase1_solutions(u, order)
-        assert [_fingerprint(sol) for sol in got] == [expected[p] for p in order]
+        assert [_stacked_fingerprint(sol) for sol in got] == [expected[p] for p in order]
 
     def test_bland_rule_matches(self, monkeypatch):
         # Bland's rule from the first degenerate pivot on: the stack must

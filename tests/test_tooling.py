@@ -72,3 +72,23 @@ def test_one_json_writer():
                   and getattr(node.value, "id", None) == "json"):
                 calls.append((path.name, node.attr))
     assert not calls, calls
+
+
+def _names_read(node) -> set:
+    """Every name, attribute and imported name under node."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_no_dead_private_functions():
+    # every module-level private function of the package is used somewhere
+    # in it outside its own def
+    statements = [node for path in sorted((ROOT / "src" / "unembed").glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    assert statements
+    reads = [_names_read(node) for node in statements]
+    dead = [node.name for node in statements
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not any(node.name in names for other, names in zip(statements, reads)
+                        if other is not node)]
+    assert not dead, dead

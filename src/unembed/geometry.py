@@ -24,6 +24,8 @@ the predicates of many pairs are evaluated as one table.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,9 +260,11 @@ def _tie_filter(g, i, j, f) -> np.ndarray:
     norms = _row_norms(g[i][:, None, :] - g)  # |g_i - g_k|, and |u| at k = j
     norm_u = norms[rows, j, None]
     off_line = np.abs(scores[rows, j, None] - s_i) + e_i + err[rows, j, None]
-    # where u = 0 the line is undefined and f is not projected
-    rho = norms / np.where(norm_u > 0.0, norm_u, 1.0)
-    budget = e_i + err + np.where(norm_u > 0.0, off_line, 0.0) * rho
+    # where u = 0 the line is undefined and f is not projected; a budget
+    # that overflows to inf (or NaN) leaves the pair unproven
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = norms / np.where(norm_u > 0.0, norm_u, 1.0)
+        budget = e_i + err + np.where(norm_u > 0.0, off_line, 0.0) * rho
     wins = (s_i - scores) * (1.0 - 4.0 * _U) > 2.0 * budget
     wins[rows, i] = wins[rows, j] = True  # no rivals of the pair itself
     return wins.all(axis=1)
@@ -441,6 +445,14 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
 
 
+def _no_tie_passes(g, i, j, basis) -> np.ndarray:
+    """_no_tie_filter of every pair, run in chunks."""
+    passed = np.zeros(len(i), dtype=bool)
+    for part in _chunks(len(i), *g.shape):
+        passed[part] = _no_tie_filter(g, i[part], j[part], basis[part])
+    return passed
+
+
 def _no_tie_proofs(g, exact_scale: bool, i, j, basis) -> list[str]:
     """The proof path of each "cannot tie" certificate: the final phase-1
     basis basis_p (rows of basis) of the pair system (i_p, j_p), for
@@ -448,10 +460,8 @@ def _no_tie_proofs(g, exact_scale: bool, i, j, basis) -> list[str]:
     where the float filter proves it (run in chunks, and only when
     exact_scale says g is the exactly rescaled model it assumes), else
     "fraction" where the exact check does, else ""."""
-    passed = np.zeros(len(i), dtype=bool)
-    if exact_scale:
-        for part in _chunks(len(i), *g.shape):
-            passed[part] = _no_tie_filter(g, i[part], j[part], basis[part])
+    passed = (_no_tie_passes(g, i, j, basis) if exact_scale
+              else np.zeros(len(i), dtype=bool))
     return ["float" if ok else "fraction" if _no_tie_fraction(g, a, b, row)
             else "" for a, b, row, ok in zip(i, j, basis, passed)]
 
@@ -623,15 +633,65 @@ def _clear_vertices(g) -> np.ndarray:
     return own > scores.max(axis=1)
 
 
+def _fan_simplices(g, labels, vertices):
+    """The labels of `labels` that a simplex of the fan of `vertices` holds
+    with positive float barycentric weights, and for each such label m the
+    columns of its hull system on that simplex's labels (label l is column
+    l - (l > m)).  No label of `labels` is in `vertices`.
+
+    The fan is every simplex {v0} + S, v0 the lowest vertex and S a
+    d-subset of the others.  Every point strictly inside their hull lies in
+    one: the ray from v0 through it leaves the hull through a facet, and
+    Caratheodory puts the exit point in a simplex of d of that facet's
+    vertices.  Each label takes the simplex whose smallest weight is
+    largest.  The fan is skipped where its matrices would not fit in one
+    _CHUNK_BYTES chunk; a singular simplex (NaN inverse) holds nothing."""
+    labels = np.asarray(labels, dtype=np.intp)
+    d = g.shape[1]
+    n = d + 1
+    count = math.comb(len(vertices) - 1, d) if len(vertices) > d else 0
+    if not labels.size or not 0 < count * n * n * 8 <= _CHUNK_BYTES:
+        return labels[:0], np.empty((0, n), dtype=np.intp)
+    simplices = np.array([(vertices[0],) + rest for rest in
+                          itertools.combinations(vertices[1:], d)], dtype=np.intp)
+    corners = np.ones((count, n, n))  # columns (g_v, 1)
+    corners[:, :d] = np.swapaxes(g[simplices], 1, 2)
+    inverse = _inverses(corners).reshape(count * n, n)
+    points = np.ones((labels.size, n))
+    points[:, :d] = g[labels]
+    best = np.empty(labels.size, dtype=np.intp)
+    top = np.empty(labels.size)  # the smallest weight in the best simplex
+    step = max(1, _CHUNK_BYTES // (8 * count * n))
+    for start in range(0, labels.size, step):
+        part = slice(start, start + step)
+        with np.errstate(all="ignore"):
+            low = (points[part] @ inverse.T).reshape(-1, count, n).min(axis=2)
+        low[np.isnan(low)] = -np.inf
+        best[part], top[part] = low.argmax(axis=1), low.max(axis=1)
+    held, chosen = labels[top > 0.0], simplices[best[top > 0.0]]
+    return held, chosen - (chosen > held[:, None])
+
+
 def _inside_proofs(unembeddings: UnembeddingSet, labels, scaled,
-                   exact_scale: bool) -> dict[int, str]:
+                   exact_scale: bool, vertices) -> dict[int, str]:
     """For each label m of `labels`, the proof path ("float" or "fraction")
-    of weights on the other labels whose mix is g_m, found by phase 1 of
-    the hull system (the pair system (m, m) without s, through lp.solve)
-    and proven like coargmax_feasible's "cannot tie" certificates: the
-    columns of its positive weights, padded with -1, stand for the basis;
-    "" when there are none or they cannot be proven."""
+    of weights on the other labels whose mix is g_m; "" when there are none
+    or they cannot be proven.  `vertices` are labels not in `labels`.
+
+    First, where exact_scale holds, the simplex of the fan of `vertices`
+    that holds g_m (_fan_simplices) gives the weights, proven by the float
+    filter.  A label that no simplex holds, or whose weights the filter
+    rejects, gets phase 1 of its hull system (the pair system (m, m)
+    without s, through lp.solve), proven like coargmax_feasible's "cannot
+    tie" certificates: the columns of its positive weights, padded with -1,
+    stand for the basis."""
     labels = np.array(labels, dtype=np.intp)
+    proofs = dict.fromkeys(labels.tolist(), "")
+    if exact_scale:
+        held, fan = _fan_simplices(scaled, labels, vertices)
+        proven = held[_no_tie_passes(scaled, held, held, fan)]
+        proofs.update(dict.fromkeys(proven.tolist(), "float"))
+        labels = labels[~np.isin(labels, proven)]
     found = []
     bases = np.full((len(labels), scaled.shape[1] + 1), -1, dtype=np.intp)
     for part in _chunks(len(labels), *scaled.shape):
@@ -644,7 +704,6 @@ def _inside_proofs(unembeddings: UnembeddingSet, labels, scaled,
                 bases[len(found), :support.size] = support
                 found.append(m)
     at = np.array(found, dtype=np.intp)
-    proofs = dict.fromkeys(labels.tolist(), "")
     proofs.update(zip(found, _no_tie_proofs(
         _checked_model(unembeddings.vectors, scaled, exact_scale), exact_scale,
         at, at, bases[:len(found)])))
@@ -661,41 +720,45 @@ def tie_graph(
     in lexicographic order.
 
     A label inside the convex hull of the others can win nowhere.  Once
-    that is proven for label i (one hull LP and its certificate), every
-    pair (i, j) with g_j != g_i is infeasible by Motzkin: if the weights
-    skip j, their mix g_i is on the line through g_i and g_j; if they give
-    j weight lam < 1, (g_i - lam g_j) / (1 - lam) is a mix of the rest on
-    that line.  Such a pair is reported with the proof path of label i's
-    certificate.  Every other pair is decided like coargmax_feasible
-    decides it, from one stacked phase 1 (lp._coargmax_phase1) for all of
+    that is proven for label i, every pair (i, j) with g_j != g_i is
+    infeasible by Motzkin: if the weights skip j, their mix g_i is on the
+    line through g_i and g_j; if they give j weight lam < 1,
+    (g_i - lam g_j) / (1 - lam) is a mix of the rest on that line.  Such a
+    pair is reported with the proof path of label i's certificate.  The
+    labels that a float pre-pass finds plainly on the hull (clear
+    vertices) need no proof; every other label is proven inside by a
+    simplex of clear vertices that holds it, else by its own hull LP
+    (_inside_proofs).  The pairs left are decided like coargmax_feasible
+    decides them, from one stacked phase 1 (lp._coargmax_phase1) for all of
     them, with the certificates proven in batches."""
     _check_eps(eps)
     k = unembeddings.k
-    wanted = set(range(k) if rows is None else rows)
+    wanted = sorted(set(range(k) if rows is None else rows))
     for i in wanted:
         if not 0 <= i < k:
             raise IndexError(f"label index {i} out of range for k={k}")
+    is_wanted = np.zeros(k, dtype=bool)
+    is_wanted[wanted] = True
     g = unembeddings.vectors
     scaled, exact_scale = _rescaled(g)
     clear = _clear_vertices(scaled)
     inside = dict.fromkeys(range(k), "")
     # a label of `rows` first: its proof settles all of its pairs; the
     # others matter only for the pairs of a label of `rows` left unproven
-    for group in (wanted, set(range(k)) - wanted):
-        inside.update(_inside_proofs(
-            unembeddings, [m for m in sorted(group) if not clear[m]],
-            scaled, exact_scale))
+    for group in (is_wanted, ~is_wanted):
+        inside.update(_inside_proofs(unembeddings, np.flatnonzero(group & ~clear),
+                                     scaled, exact_scale, np.flatnonzero(clear)))
         if all(inside[m] for m in wanted):
             break
 
     graph = {}
     todo = []
     vectors = g.tolist()  # compared as floats: -0.0 == 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if i not in wanted and j not in wanted:
-                continue
-            first, second = (i, j) if i in wanted else (j, i)
+    for i, mine in enumerate(is_wanted.tolist()):
+        # a label outside `rows` pairs only with the labels of `rows` above it
+        for j in (range(i + 1, k) if mine
+                  else wanted[bisect.bisect_right(wanted, i):]):
+            first, second = (i, j) if mine else (j, i)
             proof = inside[first] or inside[second]
             if proof and vectors[i] != vectors[j]:
                 graph[i, j] = FeasibilityReport(

@@ -1,6 +1,7 @@
 """Similarity metrics, tie feasibility (LP and exact oracle), region grids."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -737,6 +738,13 @@ class TestHullPruning:
             assert rep.proof in ("float", "fraction", "exact")
         return graph
 
+    @staticmethod
+    def _counting_solve(monkeypatch):
+        solved = []
+        monkeypatch.setattr(geometry, "solve",
+                            lambda lp: solved.append(lp) or solve(lp))
+        return solved
+
     @pytest.mark.parametrize("d, k", [(2, 32), (3, 30)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gaussian_models(self, d, k, seed, monkeypatch):
@@ -751,9 +759,7 @@ class TestHullPruning:
         angles = 2.0 * np.pi * np.arange(5) / 5.0
         u = _labelled(np.column_stack([np.cos(angles), np.sin(angles)]))
         assert geometry._clear_vertices(u.vectors).all()
-        solved = []
-        monkeypatch.setattr(geometry, "solve",
-                            lambda lp: solved.append(lp) or solve(lp))
+        solved = self._counting_solve(monkeypatch)
         graph = self._assert_matches_pairwise(u)
         assert solved == [] and len(graph) == 10
 
@@ -807,9 +813,65 @@ class TestHullPruning:
     def test_rows_subset(self):
         u = _labelled(np.random.default_rng(7).standard_normal((16, 2)))
         full = tie_graph(u)
-        for i in range(u.k):
-            graph = self._assert_matches_pairwise(u, rows=[i])
-            assert list(graph) == [p for p in full if i in p]
+        for rows in [[i] for i in range(u.k)] + [[3, 7], [15, 0], [5, 6, 9, 14]]:
+            graph = self._assert_matches_pairwise(u, rows=rows)
+            assert list(graph) == [p for p in full if set(p) & set(rows)]
+            assert all(_same_report(rep, full[p]) for p, rep in graph.items())
+
+    @pytest.mark.parametrize("d, k", [(2, 32), (3, 30)])
+    def test_fan_proves_most_interior_labels(self, d, k, monkeypatch):
+        # the simplices of the clear vertices hold most interior labels, so
+        # only a few of them still need their own hull LP
+        u = _labelled(np.random.default_rng([11, d]).standard_normal((k, d)))
+        interior = int((~geometry._clear_vertices(geometry._rescaled(u.vectors)[0])).sum())
+        solved = self._counting_solve(monkeypatch)
+        graph = self._assert_matches_pairwise(u)
+        assert len(solved) < interior / 3
+        assert sum(rep.proof == "float" and rep.lp_status == "optimal"
+                   and rep.verdict == "infeasible" for rep in graph.values()) > len(graph) / 2
+
+    def test_centre_of_a_square_falls_back_to_its_hull_lp(self, monkeypatch):
+        # every simplex of the fan gives the centre a zero weight
+        u = _labelled([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [0.0, 0.0]])
+        vertices = np.arange(4)
+        held, _ = geometry._fan_simplices(u.vectors, [4], vertices)
+        assert held.size == 0
+        solved = self._counting_solve(monkeypatch)
+        graph = self._assert_matches_pairwise(u)
+        assert len(solved) == 1
+        # its hull LP puts the weights on two opposite corners: fewer than
+        # d + 1 columns, so the proof is in Fractions
+        assert [graph[m, 4].proof for m in range(4)] == ["fraction"] * 4
+
+    @pytest.mark.parametrize("height", [0.0, 1.0])
+    def test_flat_fans_hold_nothing(self, height, monkeypatch):
+        # an octagon and four mixes of it in the plane z = height of R^3:
+        # the fan has 35 simplices, all singular, so each of the four
+        # interior labels gets its hull LP
+        angles = 2.0 * np.pi * np.arange(8) / 8.0
+        octagon = np.column_stack([np.cos(angles), np.sin(angles), np.full(8, height)])
+        g = np.vstack([octagon, np.random.default_rng(3).dirichlet(np.ones(8), 4) @ octagon])
+        scaled = geometry._rescaled(g)[0]
+        assert geometry._clear_vertices(scaled).tolist() == [True] * 8 + [False] * 4
+        held, _ = geometry._fan_simplices(scaled, np.arange(8, 12), np.arange(8))
+        assert held.size == 0
+        solved = self._counting_solve(monkeypatch)
+        graph = self._assert_matches_pairwise(_labelled(g))
+        assert len(solved) == 4
+        assert all(graph[m, 8].verdict == "infeasible" for m in range(8))
+
+    def test_fan_skipped_when_the_rescale_rounds(self, monkeypatch):
+        # dividing 1e-300 by 2**pow2_exponent(g) rounds to a subnormal: only
+        # the exact checks apply, so the float-only fan is not built
+        g = np.random.default_rng(6).standard_normal((12, 2))
+        g[0] *= 1e300
+        g[1:4] *= 1e-300
+        assert not geometry._rescaled(g)[1]
+        fans = []
+        monkeypatch.setattr(geometry, "_fan_simplices",
+                            lambda *args: fans.append(args))
+        self._assert_matches_pairwise(_labelled(g))
+        assert fans == []
 
     def test_unproven_inside_certificates_prune_nothing(self, monkeypatch):
         u = _labelled(np.random.default_rng(5).standard_normal((20, 2)))
@@ -994,6 +1056,16 @@ class TestBatchedCertificates:
         f = np.array([[1.0, 0.0]])
         assert not _tie_filter(g, np.array([0]), np.array([1]), f)[0]
         assert not _tie_fraction(g, 0, 1, f[0])
+
+    def test_overflowing_budget_warns_nothing(self):
+        # |u| = 3e-310 for the pair (0, 1): the budget's |g_i - g_k| / |u|
+        # overflows, which leaves the float filter unproven and the
+        # Fraction check decides, with no RuntimeWarning
+        g = [[0.75, 0.0], [0.75, 3e-310], [-0.5, 0.5], [-0.5, -0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = tie_graph(_labelled(g))[0, 1]
+        assert (rep.verdict, rep.proof) == ("feasible", "fraction")
 
     def test_singular_system_leaves_the_batch_proven(self):
         # l2 = l3: weights on both (and s) give a singular 3 x 3 system,

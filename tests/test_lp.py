@@ -366,9 +366,25 @@ def _ordered_pairs(k):
     return [(i, j) for i in range(k) for j in range(k) if i != j]
 
 
+def _solve_and_check(lp):
+    """solve(lp), and whether its residual check on x rejected the vertex
+    at which its phase 1 ended feasible (solve then says indeterminate)."""
+    finish, rejected = lp_module._finish, []
+
+    def checked(*args):
+        x = finish(*args)
+        rejected.append(x is None)
+        return x
+
+    with mock.patch.object(lp_module, "_finish", checked):
+        return solve(lp), any(rejected)
+
+
 def _assert_matches_solve(g, pairs=None):
     """Every stacked result equals solve(coargmax_lp(u, i, j)) bit for bit
-    in status, iterations and duals.  Where phase 1 ended feasible with no
+    in status, iterations and duals, except that the stack reads no x:
+    where solve's residual check on x rejected a feasible phase 1, the
+    stack keeps "optimal".  Where phase 1 ended feasible with no
     artificial left in the basis, solve reads x off that basis, so x is
     nonzero only on its columns."""
     u = _labelled(g)
@@ -376,11 +392,14 @@ def _assert_matches_solve(g, pairs=None):
     stacked = phase1_solutions(u, pairs)
     assert len(stacked) == len(pairs)
     for (i, j), sol in zip(pairs, stacked):
-        ref = solve(coargmax_lp(u, i, j))
-        assert _fingerprint(sol) == _fingerprint(ref), (i, j)
+        ref, rejected = _solve_and_check(coargmax_lp(u, i, j))
+        expected = _fingerprint(ref)
+        if rejected:
+            expected = ("optimal",) + expected[1:]
+        assert _fingerprint(sol) == expected, (i, j)
         if sol.status == "optimal":
             assert sol.basis.shape == (u.d + 1,)
-            if (sol.basis >= 0).all():
+            if not rejected and (sol.basis >= 0).all():
                 assert set(np.flatnonzero(ref.x).tolist()) <= set(sol.basis.tolist())
     return stacked
 
@@ -515,6 +534,18 @@ class TestCoargmaxPhase1:
         _assert_matches_solve(g)
         monkeypatch.setattr(lp_module, "_bland_after", lambda rows, cols: 1)
         _assert_matches_solve(_degenerate_model())
+
+    def test_residual_check_is_solves_own(self):
+        # phase 1 of (1, 2) ends with a sum of artificials within
+        # PHASE1_TOL; solve's residual check on x rejects that vertex, the
+        # stack reads no x and keeps "optimal" after the same pivots
+        g = np.array([[0.0, 2.0**-23], [2.0**-23, 1.0], [2.0**-23, 2.0**-23]])
+        u = _labelled(g)
+        ref, rejected = _solve_and_check(coargmax_lp(u, 1, 2))
+        assert rejected and ref.status == "indeterminate"
+        (sol,) = phase1_solutions(u, [(1, 2)])
+        assert (sol.status, sol.iterations) == ("optimal", ref.iterations)
+        _assert_matches_solve(g)
 
     def test_iteration_cap_matches(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_iteration_cap", lambda rows, cols: 3)
